@@ -1,0 +1,191 @@
+"""Command-line surface.
+
+Exit codes: 0 success, 1 usage problems, 2 unreadable or malformed input
+data (file format, shape, non-finite samples, undefined correlation, OS
+errors), 3 invalid key material or parameters.
+
+Outputs are deterministic: the same inputs and flags produce byte-identical
+files and stdout on every run.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+import numpy as np
+
+from .arnold import ArnoldSpec, period, scramble, unscramble
+from .errors import (DataError, FormatError, ParameterError, ShapeError,
+                     UndefinedCorrelationError)
+from .formats import (load_key, quantize_u8, read_image, write_float_image,
+                      write_image, write_pgm)
+from .metrics import MetricsReport, compare
+from .stego_pipeline import embed, extract
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_DATA = 2
+EXIT_KEY = 3
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad usage; the contract wants 1
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="fresnelstego",
+        description="Hide, recover, and score grayscale images carried in "
+                    "the transform coefficients of a cover image.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    cmd = commands.add_parser("embed", help="hide a secret image inside a host image")
+    cmd.add_argument("--host", required=True, help="square cover image, side a power of two")
+    cmd.add_argument("--secret", required=True, help="square image with side half the host's")
+    cmd.add_argument("--key", required=True, help="key file")
+    cmd.add_argument("--out", required=True, help="output path")
+    cmd.add_argument("--mode", choices=("float", "u8"), default="float",
+                     help="float writes the lossless container; u8 quantizes to PGM")
+
+    cmd = commands.add_parser("extract", help="recover the hidden image")
+    cmd.add_argument("--embedded", required=True, help="image produced by embed")
+    cmd.add_argument("--host", required=True, help="the original cover image")
+    cmd.add_argument("--key", required=True, help="the key used at embed time")
+    cmd.add_argument("--out", required=True, help="output path (.pgm quantizes)")
+
+    cmd = commands.add_parser("metrics", help="compare two images")
+    cmd.add_argument("--a", required=True)
+    cmd.add_argument("--b", required=True)
+    cmd.add_argument("--json", action="store_true", help="one JSON object instead of lines")
+
+    cmd = commands.add_parser("arnold", help="scrambling utilities")
+    arnold_commands = cmd.add_subparsers(dest="arnold_command", required=True)
+    for name in ("scramble", "unscramble"):
+        sub = arnold_commands.add_parser(name, help=f"{name} a square image")
+        sub.add_argument("--in", dest="in_path", required=True)
+        sub.add_argument("--n", type=int, required=True, help="step count")
+        sub.add_argument("--out", required=True)
+    sub = arnold_commands.add_parser("period", help="print the cycle length for a grid side")
+    sub.add_argument("--size", type=int, required=True)
+
+    cmd = commands.add_parser("histogram", help="print 256 'bin count' lines")
+    cmd.add_argument("--in", dest="in_path", required=True)
+
+    return parser
+
+
+def _format_value(value: float) -> str:
+    if math.isinf(value):
+        return "inf"
+    return repr(float(value))
+
+
+def _report_pairs(report: MetricsReport):
+    return (
+        ("mse", report.mse),
+        ("psnr_db", report.psnr_db),
+        ("cc", report.cc),
+        ("ssim", report.ssim),
+        ("luminance", report.luminance),
+        ("contrast", report.contrast),
+        ("structure", report.structure),
+    )
+
+
+def _print_report(report: MetricsReport) -> None:
+    for name, value in _report_pairs(report):
+        print(f"{name} = {_format_value(value)}")
+
+
+def _cmd_embed(args) -> int:
+    host = read_image(args.host)
+    secret = read_image(args.secret)
+    key = load_key(args.key)
+    result = embed(host, secret, key)
+    if args.mode == "u8":
+        delivered = quantize_u8(result.embedded)
+        write_pgm(delivered, args.out)
+        # report what the written file actually holds
+        report = compare(host, delivered)
+    else:
+        write_float_image(result.embedded, args.out)
+        report = result.report
+    _print_report(report)
+    return EXIT_OK
+
+
+def _cmd_extract(args) -> int:
+    embedded = read_image(args.embedded)
+    host = read_image(args.host)
+    key = load_key(args.key)
+    write_image(extract(embedded, host, key), args.out)
+    return EXIT_OK
+
+
+def _cmd_metrics(args) -> int:
+    report = compare(read_image(args.a), read_image(args.b))
+    if args.json:
+        payload = {name: ("inf" if math.isinf(value) else value)
+                   for name, value in _report_pairs(report)}
+        print(json.dumps(payload))
+    else:
+        _print_report(report)
+    return EXIT_OK
+
+
+def _cmd_arnold(args) -> int:
+    if args.arnold_command == "period":
+        print(period(args.size))
+        return EXIT_OK
+    img = read_image(args.in_path)
+    spec = ArnoldSpec(size=img.shape[0], iterations=args.n)
+    op = scramble if args.arnold_command == "scramble" else unscramble
+    write_image(op(img, spec), args.out)
+    return EXIT_OK
+
+
+def _cmd_histogram(args) -> int:
+    img = quantize_u8(read_image(args.in_path))
+    counts = np.bincount(img.astype(np.int64).ravel(), minlength=256)
+    for value, count in enumerate(counts):
+        print(value, int(count))
+    return EXIT_OK
+
+
+_DISPATCH = {
+    "embed": _cmd_embed,
+    "extract": _cmd_extract,
+    "metrics": _cmd_metrics,
+    "arnold": _cmd_arnold,
+    "histogram": _cmd_histogram,
+}
+
+
+def cli_main(argv=None) -> int:
+    """Run one command and return its exit code."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return _DISPATCH[args.command](args)
+    except (FormatError, ShapeError, DataError, UndefinedCorrelationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_KEY
+
+
+def main() -> None:
+    sys.exit(cli_main())

@@ -1,0 +1,234 @@
+"""File codecs: 8-bit binary PGM, a float64 raster container, key files.
+
+All three round-trip exactly. PGM carries integers 0..255; the float
+container stores little-endian IEEE doubles row-major, so write followed
+by read is bit-for-bit; key files hold short decimal numbers that reparse
+to the same floats.
+
+The float container layout is:
+
+    FIMG\\n
+    <rows> <cols>\\n
+    <rows * cols * 8 bytes of little-endian float64, row-major>
+
+The PGM reader is strict: magic P5, maxval 255, single whitespace byte
+before the payload, payload length exactly width * height, nothing after.
+Decode errors carry the byte offset of the violation.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError, KeyFileError
+from .fresnel import FresnelParams
+from .numerics import ImageGrid, as_image
+from .stego_pipeline import StegoKey
+
+FLOAT_MAGIC = b"FIMG"
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+KEY_NAMES = ("wavelength_nm", "pitch_nm", "distance_cm", "arnold_iterations", "strength")
+
+
+def quantize_u8(img) -> ImageGrid:
+    """Clamp to [0, 255], then round halves up. Clamping first means every
+    remaining value is non-negative, so rounding half up equals rounding
+    half away from zero. Output is float64 holding integer values."""
+    return np.floor(np.clip(as_image(img), 0.0, 255.0) + 0.5)
+
+
+def _next_token(data: bytes, pos: int):
+    n = len(data)
+    while pos < n:
+        ch = data[pos]
+        if ch in _WHITESPACE:
+            pos += 1
+        elif ch == ord(b"#"):
+            while pos < n and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise FormatError("header ended early", offset=pos)
+    start = pos
+    while pos < n and data[pos] not in _WHITESPACE:
+        pos += 1
+    return data[start:pos], start, pos
+
+
+def _decode_pgm(data: bytes) -> ImageGrid:
+    if not data.startswith(b"P5"):
+        raise FormatError("not a binary PGM, magic P5 missing", offset=0)
+    pos = 2
+    fields = []
+    for name in ("width", "height", "maxval"):
+        token, start, pos = _next_token(data, pos)
+        try:
+            value = int(token)
+        except ValueError:
+            raise FormatError(f"{name} is not an integer: {token!r}", offset=start) from None
+        if value <= 0:
+            raise FormatError(f"{name} must be positive, got {value}", offset=start)
+        fields.append((value, start))
+    (width, _), (height, _), (maxval, maxval_at) = fields
+    if maxval != 255:
+        raise FormatError(f"maxval must be 255, got {maxval}", offset=maxval_at)
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise FormatError("expected one whitespace byte after maxval", offset=pos)
+    pos += 1
+    need = width * height
+    have = len(data) - pos
+    if have < need:
+        raise FormatError(
+            f"payload truncated: need {need} bytes, have {have}", offset=len(data))
+    if have > need:
+        raise FormatError(
+            f"{have - need} unexpected bytes after payload", offset=pos + need)
+    grid = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    return grid.reshape(height, width).astype(np.float64)
+
+
+def read_pgm(path) -> ImageGrid:
+    """Read a strict binary PGM as a float64 grid of integers 0..255."""
+    return _decode_pgm(Path(path).read_bytes())
+
+
+def write_pgm(img, path) -> None:
+    """Write as binary PGM, quantizing through quantize_u8 first."""
+    g = quantize_u8(img)
+    height, width = g.shape
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % (width, height))
+        fh.write(g.astype(np.uint8).tobytes())
+
+
+def _decode_float_image(data: bytes) -> ImageGrid:
+    prefix = FLOAT_MAGIC + b"\n"
+    if not data.startswith(prefix):
+        raise FormatError("not a float image, magic FIMG missing", offset=0)
+    pos = len(prefix)
+    newline = data.find(b"\n", pos)
+    if newline < 0:
+        raise FormatError("missing dimensions line", offset=len(data))
+    parts = data[pos:newline].split()
+    if len(parts) != 2:
+        raise FormatError("dimensions line must hold exactly two integers", offset=pos)
+    dims = []
+    for part in parts:
+        try:
+            value = int(part)
+        except ValueError:
+            raise FormatError(f"dimension is not an integer: {part!r}", offset=pos) from None
+        if value <= 0:
+            raise FormatError(f"dimensions must be positive, got {value}", offset=pos)
+        dims.append(value)
+    rows, cols = dims
+    payload_at = newline + 1
+    need = rows * cols * 8
+    have = len(data) - payload_at
+    if have != need:
+        raise FormatError(
+            f"payload is {have} bytes, expected {need}",
+            offset=payload_at + min(have, need))
+    grid = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=payload_at)
+    return as_image(grid.reshape(rows, cols).copy())
+
+
+def read_float_image(path) -> ImageGrid:
+    """Read the float64 container written by write_float_image."""
+    return _decode_float_image(Path(path).read_bytes())
+
+
+def write_float_image(img, path) -> None:
+    """Write a float64 grid without any quantization."""
+    g = as_image(img)
+    rows, cols = g.shape
+    with open(path, "wb") as fh:
+        fh.write(FLOAT_MAGIC + b"\n%d %d\n" % (rows, cols))
+        fh.write(np.ascontiguousarray(g, dtype="<f8").tobytes())
+
+
+def read_image(path) -> ImageGrid:
+    """Read either container, dispatching on the magic bytes."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"P5"):
+        return _decode_pgm(data)
+    if data.startswith(FLOAT_MAGIC):
+        return _decode_float_image(data)
+    raise FormatError(f"unrecognized magic {data[:4]!r}", offset=0)
+
+
+def write_image(img, path) -> None:
+    """Write by extension: .pgm quantizes to PGM, anything else writes the
+    float container."""
+    if str(path).lower().endswith(".pgm"):
+        write_pgm(img, path)
+    else:
+        write_float_image(img, path)
+
+
+def parse_key_text(text: str) -> StegoKey:
+    """Parse key material from 'name = value' lines.
+
+    '#' starts a comment anywhere on a line; blank lines are skipped. All
+    five names are required, none may repeat, unknown names are rejected:
+
+        wavelength_nm, pitch_nm, distance_cm, arnold_iterations, strength
+    """
+    found = {}
+    for line_number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, sep, value = line.partition("=")
+        if not sep:
+            raise KeyFileError(f"line {line_number}: expected name = value, got {raw!r}")
+        name = name.strip()
+        value = value.strip()
+        if name not in KEY_NAMES:
+            raise KeyFileError(f"line {line_number}: unknown key {name!r}")
+        if name in found:
+            raise KeyFileError(f"line {line_number}: duplicate key {name!r}")
+        if not value:
+            raise KeyFileError(f"line {line_number}: {name} has no value")
+        found[name] = (line_number, value)
+
+    missing = [name for name in KEY_NAMES if name not in found]
+    if missing:
+        raise KeyFileError("missing keys: " + ", ".join(missing))
+
+    def as_number(name):
+        line_number, value = found[name]
+        try:
+            return float(value)
+        except ValueError:
+            raise KeyFileError(
+                f"line {line_number}: {name} must be a number, got {value!r}") from None
+
+    line_number, value = found["arnold_iterations"]
+    try:
+        iterations = int(value)
+    except ValueError:
+        raise KeyFileError(
+            f"line {line_number}: arnold_iterations must be an integer, "
+            f"got {value!r}") from None
+
+    params = FresnelParams(
+        wavelength=as_number("wavelength_nm") * 1e-9,
+        distance=as_number("distance_cm") * 1e-2,
+        pitch=as_number("pitch_nm") * 1e-9,
+    )
+    return StegoKey(fresnel=params, arnold_iterations=iterations,
+                    strength=as_number("strength"))
+
+
+def load_key(path) -> StegoKey:
+    """Read and parse a key file."""
+    return parse_key_text(Path(path).read_text(encoding="utf-8"))
+
+
+def default_key_path() -> Path:
+    """Path of the key file shipped with the package."""
+    return Path(__file__).parent / "data" / "default.key"

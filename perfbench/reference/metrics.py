@@ -1,0 +1,144 @@
+"""Image-pair quality measures: MSE, PSNR, correlation, global SSIM.
+
+SSIM here is computed from whole-image statistics (a single window
+covering the full grid). Sliding-window implementations will report
+different values for the same pair; comparisons across tools must keep
+that in mind. Variances are population variances (mean of squared
+deviations, no Bessel correction).
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ParameterError, ShapeError, UndefinedCorrelationError
+from .numerics import as_image
+
+PEAK = 255.0
+DEFAULT_C1 = (0.01 * PEAK) ** 2
+DEFAULT_C2 = (0.03 * PEAK) ** 2
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Full comparison of one image pair. ssim is the product of its three
+    component terms."""
+
+    mse: float
+    psnr_db: float
+    cc: float
+    ssim: float
+    luminance: float
+    contrast: float
+    structure: float
+
+
+class SsimBreakdown(NamedTuple):
+    ssim: float
+    luminance: float
+    contrast: float
+    structure: float
+
+
+def _pair(a, b):
+    ga = as_image(a)
+    gb = as_image(b)
+    if ga.shape != gb.shape:
+        raise ShapeError(f"shape mismatch: {ga.shape} vs {gb.shape}")
+    return ga, gb
+
+
+def mse(a, b) -> float:
+    """Mean squared difference."""
+    ga, gb = _pair(a, b)
+    d = ga - gb
+    return float(np.mean(d * d))
+
+
+def psnr_from_mse(value: float) -> float:
+    """10 * log10(PEAK**2 / mse) in dB; math.inf for a zero mse."""
+    if value < 0.0:
+        raise ParameterError(f"mse must be non-negative, got {value}")
+    if value == 0.0:
+        return math.inf
+    return 10.0 * math.log10(PEAK * PEAK / value)
+
+
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB against a peak of 255."""
+    return psnr_from_mse(mse(a, b))
+
+
+def cc(a, b) -> float:
+    """Pearson correlation with means removed.
+
+    Raises UndefinedCorrelationError when either image is constant, since
+    the ratio is then 0/0 and no value is meaningful.
+    """
+    ga, gb = _pair(a, b)
+    da = ga - ga.mean()
+    db = gb - gb.mean()
+    denominator = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
+    if denominator == 0.0:
+        raise UndefinedCorrelationError(
+            "correlation is undefined when an input has zero variance")
+    return float(np.sum(da * db)) / denominator
+
+
+def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2, c3: float | None = None,
+         structure_denominator: str = "sigma_product") -> SsimBreakdown:
+    """Global SSIM with its three comparison terms.
+
+        luminance = (2*mu_a*mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+        contrast  = (2*sigma_a*sigma_b + c2) / (sigma_a**2 + sigma_b**2 + c2)
+
+    Two pairings of the structure term are in circulation, selected by
+    structure_denominator:
+
+        "sigma_product": (cov + c3) / (sigma_a*sigma_b + c3)
+        "covariance":    (2*cov + c3) / (cov + c3)
+
+    Only the default keeps structure(a, a) = 1 and the overall product at
+    1 for identical inputs; the alternative is provided for comparison
+    against sources that use it. c3 defaults to c2 / 2.
+    """
+    if structure_denominator not in ("sigma_product", "covariance"):
+        raise ParameterError(
+            f"unknown structure_denominator {structure_denominator!r}")
+    ga, gb = _pair(a, b)
+    if c3 is None:
+        c3 = c2 / 2.0
+    mu_a = float(ga.mean())
+    mu_b = float(gb.mean())
+    da = ga - mu_a
+    db = gb - mu_b
+    var_a = float(np.mean(da * da))
+    var_b = float(np.mean(db * db))
+    sigma_a = math.sqrt(var_a)
+    sigma_b = math.sqrt(var_b)
+    cov = float(np.mean(da * db))
+    luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
+    contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
+    if structure_denominator == "sigma_product":
+        structure = (cov + c3) / (sigma_a * sigma_b + c3)
+    else:
+        structure = (2.0 * cov + c3) / (cov + c3)
+    return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
+
+
+def compare(a, b) -> MetricsReport:
+    """Every measure for one pair in a single report."""
+    m = mse(a, b)
+    s = ssim(a, b)
+    return MetricsReport(
+        mse=m,
+        psnr_db=psnr_from_mse(m),
+        cc=cc(a, b),
+        ssim=s.ssim,
+        luminance=s.luminance,
+        contrast=s.contrast,
+        structure=s.structure,
+    )

@@ -1,0 +1,73 @@
+"""Grid validation helpers and the unitary 2-D DFT.
+
+Grids are plain 2-D numpy arrays: float64 for images, complex128 for
+fields. ImageGrid and ComplexGrid are aliases for documentation, not
+wrapper classes.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DataError, ShapeError
+
+ImageGrid = np.ndarray
+ComplexGrid = np.ndarray
+
+
+def is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def as_image(samples) -> ImageGrid:
+    """Return samples as a finite 2-D float64 grid."""
+    g = np.asarray(samples)
+    if g.ndim != 2 or g.size == 0:
+        raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
+    if np.iscomplexobj(g):
+        raise DataError("expected real-valued samples, got complex")
+    g = g.astype(np.float64)
+    if not np.all(np.isfinite(g)):
+        raise DataError("grid contains non-finite samples")
+    return g
+
+
+def as_field(samples) -> ComplexGrid:
+    """Return samples as a finite 2-D complex128 grid.
+
+    Real input is promoted with a zero imaginary part.
+    """
+    g = np.asarray(samples)
+    if g.ndim != 2 or g.size == 0:
+        raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
+    g = g.astype(np.complex128)
+    if not np.all(np.isfinite(g)):
+        raise DataError("grid contains non-finite samples")
+    return g
+
+
+def as_grid(samples) -> np.ndarray:
+    """Like as_image / as_field, keeping the input's real or complex kind."""
+    if np.iscomplexobj(np.asarray(samples)):
+        return as_field(samples)
+    return as_image(samples)
+
+
+def _require_power_of_two(g: np.ndarray) -> None:
+    r, c = g.shape
+    if not (is_power_of_two(r) and is_power_of_two(c)):
+        raise ShapeError(f"dimensions must be powers of two, got {r}x{c}")
+
+
+def fft2(grid) -> ComplexGrid:
+    """Unitary 2-D DFT. Power-of-two dimensions only, so the l2 norm is
+    preserved to machine precision and round trips are exact."""
+    g = as_field(grid)
+    _require_power_of_two(g)
+    return np.fft.fft2(g, norm="ortho")
+
+
+def ifft2(grid) -> ComplexGrid:
+    """Inverse of fft2, same conventions."""
+    g = as_field(grid)
+    _require_power_of_two(g)
+    return np.fft.ifft2(g, norm="ortho")
