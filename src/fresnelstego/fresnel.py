@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import ComplexGrid, as_field, fft2, ifft2, is_power_of_two
+from .numerics import ComplexGrid, as_field, is_power_of_two
 
 
 def _checked_length(name: str, value) -> float:
@@ -37,7 +37,7 @@ class FresnelParams:
     """Propagation geometry, all lengths in meters.
 
     wavelength and pitch must be positive; distance may be zero, which
-    makes propagation the identity. tau is derived on access, never stored.
+    makes propagation the identity.
     """
 
     wavelength: float
@@ -54,11 +54,6 @@ class FresnelParams:
         if self.distance < 0.0:
             raise ParameterError(f"distance must be non-negative, got {self.distance}")
 
-    @property
-    def tau(self) -> float:
-        """Characteristic scale sqrt(wavelength * distance)."""
-        return math.sqrt(self.wavelength * self.distance)
-
 
 def _require_square_power_of_two(field: np.ndarray) -> None:
     r, c = field.shape
@@ -71,21 +66,22 @@ def _transfer_phase(side: int, params: FresnelParams) -> np.ndarray:
     return np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
 
 
-def propagate(field, params: FresnelParams) -> ComplexGrid:
-    """Forward Fresnel transform of a square power-of-two field."""
+def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
     f = as_field(field)
     _require_square_power_of_two(f)
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
         return f.copy()
-    return ifft2(fft2(f) * np.exp(-1j * _transfer_phase(f.shape[0], params)))
+    factor = np.exp(sign * 1j * _transfer_phase(f.shape[0], params))
+    return np.fft.ifft2(np.fft.fft2(f, norm="ortho") * factor, norm="ortho")
+
+
+def propagate(field, params: FresnelParams) -> ComplexGrid:
+    """Forward Fresnel transform of a square power-of-two field."""
+    return _filter(field, params, -1.0)
 
 
 def propagate_inverse(field, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of propagate: the conjugate transfer factor."""
-    f = as_field(field)
-    _require_square_power_of_two(f)
-    if params.wavelength * params.distance == 0.0:
-        return f.copy()
-    return ifft2(fft2(f) * np.exp(1j * _transfer_phase(f.shape[0], params)))
+    return _filter(field, params, 1.0)

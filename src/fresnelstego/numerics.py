@@ -19,13 +19,14 @@ def is_power_of_two(n: int) -> bool:
 
 
 def as_image(samples) -> ImageGrid:
-    """Return samples as a finite 2-D float64 grid."""
+    """Return samples as a finite 2-D float64 grid, copied only if the
+    input is not already one."""
     g = np.asarray(samples)
     if g.ndim != 2 or g.size == 0:
         raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
     if np.iscomplexobj(g):
         raise DataError("expected real-valued samples, got complex")
-    g = g.astype(np.float64)
+    g = g.astype(np.float64, copy=False)
     if not np.all(np.isfinite(g)):
         raise DataError("grid contains non-finite samples")
     return g
@@ -34,12 +35,13 @@ def as_image(samples) -> ImageGrid:
 def as_field(samples) -> ComplexGrid:
     """Return samples as a finite 2-D complex128 grid.
 
-    Real input is promoted with a zero imaginary part.
+    Real input is promoted with a zero imaginary part; complex128 input
+    is returned without a copy.
     """
     g = np.asarray(samples)
     if g.ndim != 2 or g.size == 0:
         raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
-    g = g.astype(np.complex128)
+    g = g.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(g)):
         raise DataError("grid contains non-finite samples")
     return g

@@ -1,17 +1,27 @@
 """End-to-end embedding and extraction, keyed on StegoKey.
 
-Embedding: scramble the host, split it into wavelet bands, turn the
-secret into two real coded images (the real and imaginary parts of its
-complex coefficient quad, each synthesized back up to band size), add
-each coded image onto the DCT coefficients of two host bands scaled by
-the strength, then invert the wavelet step and the scrambling.
+The paper's chain scrambles the host, splits it into Haar bands, and
+adds s * idwt2(Re/Im of the Fresnelet quad of the secret) onto the DCT
+coefficients of the band pairs (ll, lh) and (hl, hh). Every stage is
+linear and the Fresnelet's Haar step is undone at once, so with
+F = propagate(secret), P = idct2(Re F) and Q = idct2(Im F):
+
+    idct2(dct2(band) + s * Re F) = band + s * P, and
+    idwt2(P, P, Q, Q) = D, with D[0::2, 0::2] = P + Q,
+    D[0::2, 1::2] = P - Q and odd rows zero,
+
+hence embedded = host + s * unscramble(D). The host is never scrambled,
+split or transformed.
 
 Extraction is non-blind: it needs the original host and the same key.
-Differences of DCT coefficients between embedded and host bands recover
-the coded images, whose own wavelet bands reassemble the complex quad;
-inverse propagation of the synthesized field and the complex modulus
-give back the secret. Band pairs are averaged, so quantization noise in
-a delivered 8-bit embedded image partially cancels.
+With R = scramble(embedded - host)[0::2], a = R[:, 0::2] and
+b = R[:, 1::2], the band sums ll + lh and hl + hh of the scrambled
+difference are a + b and a - b, so
+
+    secret = |propagate_inverse((dct2(a + b) + i * dct2(a - b)) / (2s))|.
+
+Averaging the two band pairs lets quantization noise in a delivered
+8-bit embedded image partially cancel.
 """
 from __future__ import annotations
 
@@ -22,11 +32,10 @@ import numpy as np
 
 from .arnold import ArnoldSpec, scramble, unscramble
 from .errors import ParameterError, ShapeError
-from .fresnel import FresnelParams, _checked_length
-from .fresnelet import ComplexQuad, fresnelet_analyze, fresnelet_synthesize, magnitude
+from .fresnel import FresnelParams, _checked_length, propagate, propagate_inverse
 from .metrics import MetricsReport, compare
 from .numerics import ImageGrid, as_image, is_power_of_two
-from .wavelet_dct import QuadBands, dct2, dwt2, idct2, idwt2
+from .wavelet_dct import dct2, idct2
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,6 @@ def _checked_host(img) -> ImageGrid:
     return g
 
 
-def _insert(band, payload, strength):
-    # payload rides on the band's DCT coefficients, not on its samples
-    return idct2(dct2(band) + strength * payload)
-
-
 def embed(host, secret, key: StegoKey) -> EmbedResult:
     """Hide secret inside host. The secret must be square with side half
     the host's. Returns the float embedded image plus a quality report
@@ -88,21 +92,14 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    spec = ArnoldSpec(side, key.arnold_iterations)
-    bands = dwt2(scramble(host_grid, spec))
-
-    quad = fresnelet_analyze(secret_grid, key.fresnel)
-    coded_r = idwt2(QuadBands(quad.ll.real, quad.lh.real, quad.hl.real, quad.hh.real))
-    coded_i = idwt2(QuadBands(quad.ll.imag, quad.lh.imag, quad.hl.imag, quad.hh.imag))
-
+    field = propagate(secret_grid, key.fresnel)
+    p, q = idct2(field.real), idct2(field.imag)
     s = key.strength
-    carrying = QuadBands(
-        _insert(bands.ll, coded_r, s),
-        _insert(bands.lh, coded_r, s),
-        _insert(bands.hl, coded_i, s),
-        _insert(bands.hh, coded_i, s),
-    )
-    embedded = unscramble(idwt2(carrying), spec)
+    d = np.zeros((side, side))
+    d[0::2, 0::2] = s * (p + q)
+    d[0::2, 1::2] = s * (p - q)
+    embedded = unscramble(d, ArnoldSpec(side, key.arnold_iterations))
+    embedded += host_grid
     return EmbedResult(embedded, compare(host_grid, embedded))
 
 
@@ -118,21 +115,7 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
         raise ParameterError("strength must be positive for extraction")
 
     spec = ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations)
-    eb = dwt2(scramble(embedded_grid, spec))
-    hb = dwt2(scramble(host_grid, spec))
-
-    # the payload was added to DCT coefficients, so it is read back there;
-    # no inverse DCT belongs in this direction
-    half = 2.0 * key.strength
-    coded_r = ((dct2(eb.ll) - dct2(hb.ll)) + (dct2(eb.lh) - dct2(hb.lh))) / half
-    coded_i = ((dct2(eb.hl) - dct2(hb.hl)) + (dct2(eb.hh) - dct2(hb.hh))) / half
-
-    rb = dwt2(coded_r)
-    ib = dwt2(coded_i)
-    quad = ComplexQuad(
-        rb.ll + 1j * ib.ll,
-        rb.lh + 1j * ib.lh,
-        rb.hl + 1j * ib.hl,
-        rb.hh + 1j * ib.hh,
-    )
-    return magnitude(fresnelet_synthesize(quad, key.fresnel))
+    r = scramble(embedded_grid - host_grid, spec)[0::2]
+    a, b = r[:, 0::2], r[:, 1::2]
+    coded = (dct2(a + b) + 1j * dct2(a - b)) / (2.0 * key.strength)
+    return np.abs(propagate_inverse(coded, key.fresnel))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError
 from .numerics import ImageGrid, as_grid, as_image
 
 
@@ -34,14 +34,9 @@ class QuadBands(NamedTuple):
     hh: np.ndarray
 
 
-def dwt2(img, levels: int = 1) -> QuadBands:
-    """One level of orthonormal 2-D Haar analysis.
-
-    Accepts real or complex grids with even dimensions. Only levels=1 is
-    supported; the parameter exists so the depth is explicit at call sites.
-    """
-    if levels != 1:
-        raise ParameterError(f"only level-1 decomposition is supported, got levels={levels}")
+def dwt2(img) -> QuadBands:
+    """One level of orthonormal 2-D Haar analysis of a real or complex
+    grid with even dimensions."""
     g = as_grid(img)
     r, c = g.shape
     if r % 2 or c % 2:

@@ -33,12 +33,6 @@ def test_params_validation():
         FresnelParams(wavelength="soon", distance=1.0, pitch=1e-8)
 
 
-def test_tau_is_derived():
-    p = REFERENCE
-    assert p.tau == math.sqrt(p.wavelength * p.distance)
-    assert FresnelParams(1e-9, 0.0, 1e-8).tau == 0.0
-
-
 def test_zero_distance_is_exact_identity():
     p = FresnelParams(wavelength=632.8e-9, distance=0.0, pitch=10e-9)
     f = random_field(64, 3)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey, cc, dct2, dwt2,
-                          embed, extract, fresnelet_analyze, idwt2, mse,
-                          psnr, quantize_u8, scramble)
+                          embed, extract, fresnelet_analyze,
+                          fresnelet_synthesize, idct2, idwt2, mse, period,
+                          psnr, quantize_u8, scramble, unscramble)
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -182,3 +185,53 @@ def test_shape_contracts():
         extract(host[:64, :64], host, DESK_KEY)
     with pytest.raises(ShapeError):
         extract(host, textured_image(64, 3), DESK_KEY)
+
+
+def staged_embed(host, secret, key):
+    """The paper's chain, stage by stage: scramble, Haar-split, add the
+    Fresnelet-coded secret onto band DCT coefficients, undo both."""
+    spec = ArnoldSpec(host.shape[0], key.arnold_iterations)
+    bands = dwt2(scramble(host, spec))
+    quad = fresnelet_analyze(secret, key.fresnel)
+    coded_r = idwt2([band.real for band in quad])
+    coded_i = idwt2([band.imag for band in quad])
+
+    def insert(band, payload):
+        return idct2(dct2(band) + key.strength * payload)
+
+    carrying = (insert(bands.ll, coded_r), insert(bands.lh, coded_r),
+                insert(bands.hl, coded_i), insert(bands.hh, coded_i))
+    return unscramble(idwt2(carrying), spec)
+
+
+def staged_extract(embedded, host, key):
+    spec = ArnoldSpec(host.shape[0], key.arnold_iterations)
+    eb = dwt2(scramble(embedded, spec))
+    hb = dwt2(scramble(host, spec))
+    half = 2.0 * key.strength
+    coded_r = ((dct2(eb.ll) - dct2(hb.ll)) + (dct2(eb.lh) - dct2(hb.lh))) / half
+    coded_i = ((dct2(eb.hl) - dct2(hb.hl)) + (dct2(eb.hh) - dct2(hb.hh))) / half
+    quad = [r + 1j * i for r, i in zip(dwt2(coded_r), dwt2(coded_i))]
+    return np.abs(fresnelet_synthesize(quad, key.fresnel))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(strength=st.floats(0.005, 2.0),
+       iterations=st.integers(0, 3 * period(64)),
+       distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       seed=st.integers(0, 2 ** 16))
+def test_closed_form_matches_staged_chain(strength, iterations, distance, seed):
+    host = textured_image(64, seed)
+    secret = textured_image(32, seed + 1, rolloff=6.0)
+    key = StegoKey(fresnel=FresnelParams(632.8e-9, distance, 10e-6),
+                   arnold_iterations=iterations, strength=strength)
+
+    embedded = embed(host, secret, key).embedded
+    assert np.max(np.abs(embedded - staged_embed(host, secret, key))) < 1e-9
+    # odd scrambled rows carry no payload, so there the host is untouched
+    spec = ArnoldSpec(64, iterations)
+    assert np.all(scramble(embedded - host, spec)[1::2] == 0.0)
+
+    for delivered in (embedded, quantize_u8(embedded)):
+        recovered = extract(delivered, host, key)
+        assert np.max(np.abs(recovered - staged_extract(delivered, host, key))) < 1e-9

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fresnelstego import (ParameterError, QuadBands, ShapeError, dct2, dwt2,
-                          idct2, idwt2)
+from fresnelstego import QuadBands, ShapeError, dct2, dwt2, idct2, idwt2
 
 
 def test_hand_evaluated_block():
@@ -58,13 +57,6 @@ def test_odd_dimensions_rejected():
         dwt2(np.zeros((15, 16)))
     with pytest.raises(ShapeError):
         dwt2(np.zeros((16, 15)))
-
-
-def test_only_level_one_supported():
-    with pytest.raises(ParameterError):
-        dwt2(np.zeros((16, 16)), levels=2)
-    with pytest.raises(ParameterError):
-        dwt2(np.zeros((16, 16)), levels=0)
 
 
 def test_idwt2_zero_bands():
