@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -88,20 +89,8 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _report_pairs(report: MetricsReport):
-    return (
-        ("mse", report.mse),
-        ("psnr_db", report.psnr_db),
-        ("cc", report.cc),
-        ("ssim", report.ssim),
-        ("luminance", report.luminance),
-        ("contrast", report.contrast),
-        ("structure", report.structure),
-    )
-
-
 def _print_report(report: MetricsReport) -> None:
-    for name, value in _report_pairs(report):
+    for name, value in asdict(report).items():
         print(f"{name} = {_format_value(value)}")
 
 
@@ -134,7 +123,7 @@ def _cmd_metrics(args) -> int:
     report = compare(read_image(args.a), read_image(args.b))
     if args.json:
         payload = {name: ("inf" if math.isinf(value) else value)
-                   for name, value in _report_pairs(report)}
+                   for name, value in asdict(report).items()}
         print(json.dumps(payload))
     else:
         _print_report(report)

@@ -13,23 +13,12 @@ enter only through their product, which is the effective key scalar.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
-from .numerics import ComplexGrid, as_field, is_power_of_two
-
-
-def _checked_length(name: str, value) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a real number") from None
-    if not math.isfinite(v):
-        raise ParameterError(f"{name} must be finite, got {v!r}")
-    return v
+from .errors import ParameterError
+from .numerics import ComplexGrid, as_field, checked_real, square_power_of_two
 
 
 @dataclass(frozen=True)
@@ -46,7 +35,7 @@ class FresnelParams:
 
     def __post_init__(self):
         for name in ("wavelength", "distance", "pitch"):
-            object.__setattr__(self, name, _checked_length(name, getattr(self, name)))
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
         if self.wavelength <= 0.0:
             raise ParameterError(f"wavelength must be positive, got {self.wavelength}")
         if self.pitch <= 0.0:
@@ -55,20 +44,13 @@ class FresnelParams:
             raise ParameterError(f"distance must be non-negative, got {self.distance}")
 
 
-def _require_square_power_of_two(field: np.ndarray) -> None:
-    r, c = field.shape
-    if r != c or not is_power_of_two(r):
-        raise ShapeError(f"field must be square with a power-of-two side, got {r}x{c}")
-
-
 def _transfer_phase(side: int, params: FresnelParams) -> np.ndarray:
     nu = np.fft.fftfreq(side, d=params.pitch)
     return np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
 
 
 def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
-    f = as_field(field)
-    _require_square_power_of_two(f)
+    f = square_power_of_two(as_field(field), "field")
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, ShapeError, UndefinedCorrelationError
-from .numerics import as_image
+from .numerics import as_image, checked_real
 
 PEAK = 255.0
 DEFAULT_C1 = (0.01 * PEAK) ** 2
@@ -51,6 +51,16 @@ def _pair(a, b):
     return ga, gb
 
 
+def _moments(ga, gb):
+    """Means of two checked grids and the deviation sums
+    sum(da * da), sum(db * db) and sum(da * db)."""
+    mu_a = float(ga.mean())
+    mu_b = float(gb.mean())
+    da = ga - mu_a
+    db = gb - mu_b
+    return mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)), float(np.sum(da * db))
+
+
 def mse(a, b) -> float:
     """Mean squared difference."""
     ga, gb = _pair(a, b)
@@ -60,6 +70,7 @@ def mse(a, b) -> float:
 
 def psnr_from_mse(value: float) -> float:
     """10 * log10(PEAK**2 / mse) in dB; math.inf for a zero mse."""
+    value = checked_real("mse", value)
     if value < 0.0:
         raise ParameterError(f"mse must be non-negative, got {value}")
     if value == 0.0:
@@ -78,48 +89,40 @@ def cc(a, b) -> float:
     Raises UndefinedCorrelationError when either image is constant, since
     the ratio is then 0/0 and no value is meaningful.
     """
-    ga, gb = _pair(a, b)
-    da = ga - ga.mean()
-    db = gb - gb.mean()
-    denominator = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
+    _, _, saa, sbb, sab = _moments(*_pair(a, b))
+    denominator = math.sqrt(saa * sbb)
     if denominator == 0.0:
         raise UndefinedCorrelationError(
             "correlation is undefined when an input has zero variance")
-    return float(np.sum(da * db)) / denominator
+    return sab / denominator
 
 
-def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2, c3: float | None = None,
+def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
          structure_denominator: str = "sigma_product") -> SsimBreakdown:
     """Global SSIM with its three comparison terms.
 
         luminance = (2*mu_a*mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
         contrast  = (2*sigma_a*sigma_b + c2) / (sigma_a**2 + sigma_b**2 + c2)
 
-    Two pairings of the structure term are in circulation, selected by
-    structure_denominator:
+    with c3 = c2 / 2 in the structure term. Two pairings of that term are
+    in circulation, selected by structure_denominator:
 
         "sigma_product": (cov + c3) / (sigma_a*sigma_b + c3)
         "covariance":    (2*cov + c3) / (cov + c3)
 
     Only the default keeps structure(a, a) = 1 and the overall product at
     1 for identical inputs; the alternative is provided for comparison
-    against sources that use it. c3 defaults to c2 / 2.
+    against sources that use it.
     """
     if structure_denominator not in ("sigma_product", "covariance"):
         raise ParameterError(
             f"unknown structure_denominator {structure_denominator!r}")
     ga, gb = _pair(a, b)
-    if c3 is None:
-        c3 = c2 / 2.0
-    mu_a = float(ga.mean())
-    mu_b = float(gb.mean())
-    da = ga - mu_a
-    db = gb - mu_b
-    var_a = float(np.mean(da * da))
-    var_b = float(np.mean(db * db))
+    mu_a, mu_b, saa, sbb, sab = _moments(ga, gb)
+    var_a, var_b, cov = saa / ga.size, sbb / ga.size, sab / ga.size
     sigma_a = math.sqrt(var_a)
     sigma_b = math.sqrt(var_b)
-    cov = float(np.mean(da * db))
+    c3 = c2 / 2.0
     luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
     contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
     if structure_denominator == "sigma_product":

@@ -1,4 +1,8 @@
-"""Grid validation helpers and the unitary 2-D DFT.
+"""Input rules and the unitary 2-D DFT.
+
+Every rule the package applies to a caller's grid or scalar is defined
+here once: finite 2-D grids, square power-of-two sides, integer counts
+and finite reals. Callers add only their own range limits.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields. ImageGrid and ComplexGrid are aliases for documentation, not
@@ -6,9 +10,11 @@ wrapper classes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 
 ImageGrid = np.ndarray
 ComplexGrid = np.ndarray
@@ -52,6 +58,37 @@ def as_grid(samples) -> np.ndarray:
     if np.iscomplexobj(np.asarray(samples)):
         return as_field(samples)
     return as_image(samples)
+
+
+def checked_count(name: str, value, minimum: int) -> int:
+    """Return value as an int; bools, non-integers and values below
+    minimum raise ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def checked_real(name: str, value) -> float:
+    """Return value as a finite float, or raise ParameterError."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a real number") from None
+    if not math.isfinite(v):
+        raise ParameterError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def square_power_of_two(g: np.ndarray, what: str) -> np.ndarray:
+    """Return g if it is square with a power-of-two side, else raise
+    ShapeError naming what."""
+    r, c = g.shape
+    if r != c or not is_power_of_two(r):
+        raise ShapeError(f"{what} must be square with a power-of-two side, got {r}x{c}")
+    return g
 
 
 def _require_power_of_two(g: np.ndarray) -> None:

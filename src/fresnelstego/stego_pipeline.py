@@ -32,9 +32,10 @@ import numpy as np
 
 from .arnold import ArnoldSpec, scramble, unscramble
 from .errors import ParameterError, ShapeError
-from .fresnel import FresnelParams, _checked_length, propagate, propagate_inverse
+from .fresnel import FresnelParams, propagate, propagate_inverse
 from .metrics import MetricsReport, compare
-from .numerics import ImageGrid, as_image, is_power_of_two
+from .numerics import (ImageGrid, as_image, checked_count, checked_real,
+                       square_power_of_two)
 from .wavelet_dct import dct2, idct2
 
 
@@ -54,13 +55,9 @@ class StegoKey:
     def __post_init__(self):
         if not isinstance(self.fresnel, FresnelParams):
             raise ParameterError("fresnel must be a FresnelParams instance")
-        n = self.arnold_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ParameterError(f"arnold_iterations must be an integer, got {n!r}")
-        if int(n) < 0:
-            raise ParameterError(f"arnold_iterations must be non-negative, got {n}")
-        object.__setattr__(self, "arnold_iterations", int(n))
-        s = _checked_length("strength", self.strength)
+        object.__setattr__(self, "arnold_iterations",
+                           checked_count("arnold_iterations", self.arnold_iterations, 0))
+        s = checked_real("strength", self.strength)
         if s < 0.0:
             raise ParameterError(f"strength must be non-negative, got {s}")
         object.__setattr__(self, "strength", s)
@@ -71,19 +68,11 @@ class EmbedResult(NamedTuple):
     report: MetricsReport
 
 
-def _checked_host(img) -> ImageGrid:
-    g = as_image(img)
-    r, c = g.shape
-    if r != c or not is_power_of_two(r):
-        raise ShapeError(f"host must be square with a power-of-two side, got {r}x{c}")
-    return g
-
-
 def embed(host, secret, key: StegoKey) -> EmbedResult:
     """Hide secret inside host. The secret must be square with side half
     the host's. Returns the float embedded image plus a quality report
     against the original host."""
-    host_grid = _checked_host(host)
+    host_grid = square_power_of_two(as_image(host), "host")
     secret_grid = as_image(secret)
     side = host_grid.shape[0]
     expected = (side // 2, side // 2)
@@ -106,8 +95,8 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
 def extract(embedded, host, key: StegoKey) -> ImageGrid:
     """Recover the hidden image from an embedded image given the original
     host and the exact key."""
-    embedded_grid = _checked_host(embedded)
-    host_grid = _checked_host(host)
+    embedded_grid = square_power_of_two(as_image(embedded), "embedded image")
+    host_grid = square_power_of_two(as_image(host), "host")
     if embedded_grid.shape != host_grid.shape:
         raise ShapeError(
             f"shape mismatch: embedded {embedded_grid.shape} vs host {host_grid.shape}")

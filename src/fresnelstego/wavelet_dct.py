@@ -62,7 +62,7 @@ def idwt2(bands) -> np.ndarray:
             "band shapes differ: "
             f"{ll.shape}, {lh.shape}, {hl.shape}, {hh.shape}")
     r, c = ll.shape
-    out = np.empty((2 * r, 2 * c), dtype=(ll + lh + hl + hh).dtype)
+    out = np.empty((2 * r, 2 * c), dtype=np.result_type(ll, lh, hl, hh))
     out[0::2, 0::2] = (ll + lh + hl + hh) / 2
     out[0::2, 1::2] = (ll + lh - hl - hh) / 2
     out[1::2, 0::2] = (ll - lh + hl - hh) / 2

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fresnelstego import (DataError, ParameterError, ShapeError,
+from fresnelstego import (DEFAULT_C2, DataError, ParameterError, ShapeError,
                           UndefinedCorrelationError, cc, compare, mse, psnr,
                           psnr_from_mse, ssim)
 from synth import textured_image
@@ -42,8 +44,9 @@ def test_psnr_monotone_in_mse():
 
 
 def test_psnr_rejects_negative_mse():
-    with pytest.raises(ParameterError):
-        psnr_from_mse(-1.0)
+    for bad in (-1.0, math.inf, math.nan, None):
+        with pytest.raises(ParameterError):
+            psnr_from_mse(bad)
 
 
 def test_cc_trivials():
@@ -127,14 +130,28 @@ def test_ssim_bounded_on_random_pairs():
         assert -1.0 - 1e-12 <= result.ssim <= 1.0 + 1e-12
 
 
-def test_compare_report_consistency():
-    a = textured_image(32, 11)
-    b = np.clip(a + 3.0, 0.0, 255.0)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(4, 48), seed=st.integers(0, 2**16), offset=st.floats(-40.0, 40.0),
+       pairing=st.sampled_from(("shift", "clip", "other")))
+def test_compare_report_consistency(side, seed, offset, pairing):
+    a = textured_image(side, seed)
+    if pairing == "shift":  # constant difference: only the means differ
+        b = a + offset
+    elif pairing == "clip":
+        b = np.clip(a + offset, 0.0, 255.0)
+    else:
+        b = textured_image(side, seed + 1) + offset
     report = compare(a, b)
     assert report.mse == mse(a, b)
     assert report.psnr_db == psnr(a, b)
     assert report.cc == cc(a, b)
+    assert (report.ssim, report.luminance, report.contrast, report.structure) == ssim(a, b)
     assert report.ssim == report.luminance * report.contrast * report.structure
+    # the shared deviation sums divided by the count equal np.mean bit for bit
+    da, db = a - a.mean(), b - b.mean()
+    var_a, var_b = np.mean(da * da), np.mean(db * db)
+    sigmas = 2.0 * math.sqrt(var_a) * math.sqrt(var_b)
+    assert report.contrast == (sigmas + DEFAULT_C2) / (var_a + var_b + DEFAULT_C2)
     assert report.mse >= 0.0
     assert -1.0 - 1e-12 <= report.cc <= 1.0 + 1e-12
 
