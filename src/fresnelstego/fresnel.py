@@ -10,6 +10,8 @@ and transformed back. Unit modulus makes the operation exactly unitary.
 The exponent sign is a convention; the inverse applies the conjugate
 factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
+fftfreq negates bins exactly (nu[N - k] == -nu[k]), so the factor is a
+bit-exact mirror of its (N/2 + 1)-square quadrant, the only part exponentiated.
 """
 from __future__ import annotations
 
@@ -44,18 +46,18 @@ class FresnelParams:
             raise ParameterError(f"distance must be non-negative, got {self.distance}")
 
 
-def _transfer_phase(side: int, params: FresnelParams) -> np.ndarray:
-    nu = np.fft.fftfreq(side, d=params.pitch)
-    return np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-
-
 def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
     f = square_power_of_two(as_field(field), "field")
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
         return f.copy()
-    factor = np.exp(sign * 1j * _transfer_phase(f.shape[0], params))
+    side = f.shape[0]
+    nu = np.fft.fftfreq(side, d=params.pitch)[:side // 2 + 1]
+    phase = np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
+    # bin i carries the factor of bin min(i, side - i), exactly
+    k = np.minimum(np.arange(side), side - np.arange(side))
+    factor = np.exp(sign * 1j * phase)[k][:, k]
     return np.fft.ifft2(np.fft.fft2(f, norm="ortho") * factor, norm="ortho")
 
 

@@ -61,11 +61,36 @@ def _moments(ga, gb):
     return mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)), float(np.sum(da * db))
 
 
+def _mse(ga, gb) -> float:
+    return float(np.mean(np.square(ga - gb)))
+
+
+def _correlation(moments) -> float:
+    _, _, saa, sbb, sab = moments
+    denominator = math.sqrt(saa * sbb)
+    if denominator == 0.0:
+        raise UndefinedCorrelationError(
+            "correlation is undefined when an input has zero variance")
+    return sab / denominator
+
+
+def _ssim_terms(moments, count, c1, c2, structure_denominator) -> SsimBreakdown:
+    mu_a, mu_b, saa, sbb, sab = moments
+    var_a, var_b, cov = saa / count, sbb / count, sab / count
+    sigma_a, sigma_b = math.sqrt(var_a), math.sqrt(var_b)
+    c3 = c2 / 2.0
+    luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
+    contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
+    if structure_denominator == "sigma_product":
+        structure = (cov + c3) / (sigma_a * sigma_b + c3)
+    else:
+        structure = (2.0 * cov + c3) / (cov + c3)
+    return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
+
+
 def mse(a, b) -> float:
     """Mean squared difference."""
-    ga, gb = _pair(a, b)
-    d = ga - gb
-    return float(np.mean(d * d))
+    return _mse(*_pair(a, b))
 
 
 def psnr_from_mse(value: float) -> float:
@@ -89,12 +114,7 @@ def cc(a, b) -> float:
     Raises UndefinedCorrelationError when either image is constant, since
     the ratio is then 0/0 and no value is meaningful.
     """
-    _, _, saa, sbb, sab = _moments(*_pair(a, b))
-    denominator = math.sqrt(saa * sbb)
-    if denominator == 0.0:
-        raise UndefinedCorrelationError(
-            "correlation is undefined when an input has zero variance")
-    return sab / denominator
+    return _correlation(_moments(*_pair(a, b)))
 
 
 def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
@@ -118,30 +138,13 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
         raise ParameterError(
             f"unknown structure_denominator {structure_denominator!r}")
     ga, gb = _pair(a, b)
-    mu_a, mu_b, saa, sbb, sab = _moments(ga, gb)
-    var_a, var_b, cov = saa / ga.size, sbb / ga.size, sab / ga.size
-    sigma_a = math.sqrt(var_a)
-    sigma_b = math.sqrt(var_b)
-    c3 = c2 / 2.0
-    luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
-    contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
-    if structure_denominator == "sigma_product":
-        structure = (cov + c3) / (sigma_a * sigma_b + c3)
-    else:
-        structure = (2.0 * cov + c3) / (cov + c3)
-    return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
+    return _ssim_terms(_moments(ga, gb), ga.size, c1, c2, structure_denominator)
 
 
 def compare(a, b) -> MetricsReport:
-    """Every measure for one pair in a single report."""
-    m = mse(a, b)
-    s = ssim(a, b)
-    return MetricsReport(
-        mse=m,
-        psnr_db=psnr_from_mse(m),
-        cc=cc(a, b),
-        ssim=s.ssim,
-        luminance=s.luminance,
-        contrast=s.contrast,
-        structure=s.structure,
-    )
+    """Every measure for one pair, from one validation and one moment pass."""
+    ga, gb = _pair(a, b)
+    m, moments = _mse(ga, gb), _moments(ga, gb)
+    terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2, "sigma_product")
+    # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
+    return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)

@@ -11,6 +11,7 @@ wrapper classes.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -72,11 +73,10 @@ def checked_count(name: str, value, minimum: int) -> int:
 
 
 def checked_real(name: str, value) -> float:
-    """Return value as a finite float, or raise ParameterError."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a real number") from None
+    """Return value as a finite float; bools and non-reals raise ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
     if not math.isfinite(v):
         raise ParameterError(f"{name} must be finite, got {v!r}")
     return v

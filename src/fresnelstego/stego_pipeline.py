@@ -11,10 +11,13 @@ F = propagate(secret), P = idct2(Re F) and Q = idct2(Im F):
     D[0::2, 1::2] = P - Q and odd rows zero,
 
 hence embedded = host + s * unscramble(D). The host is never scrambled,
-split or transformed.
+split or transformed, and as D's odd rows are zero, unscramble(D) is
+D[0::2] at idx = arnold.source_index(spec, row_step=2), the flat sources
+of scramble's even rows, and zero elsewhere: embed adds at idx only.
 
 Extraction is non-blind: it needs the original host and the same key.
-With R = scramble(embedded - host)[0::2], a = R[:, 0::2] and
+With R = scramble(embedded - host)[0::2], gathered as
+embedded.ravel()[idx] - host.ravel()[idx], a = R[:, 0::2] and
 b = R[:, 1::2], the band sums ll + lh and hl + hh of the scrambled
 difference are a + b and a - b, so
 
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arnold import ArnoldSpec, scramble, unscramble
+from .arnold import ArnoldSpec, source_index
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, propagate, propagate_inverse
 from .metrics import MetricsReport, compare
@@ -83,12 +86,13 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
 
     field = propagate(secret_grid, key.fresnel)
     p, q = idct2(field.real), idct2(field.imag)
-    s = key.strength
-    d = np.zeros((side, side))
-    d[0::2, 0::2] = s * (p + q)
-    d[0::2, 1::2] = s * (p - q)
-    embedded = unscramble(d, ArnoldSpec(side, key.arnold_iterations))
-    embedded += host_grid
+    # s * D[0::2]: P + Q and P - Q interleaved by column
+    payload = key.strength * np.stack((p + q, p - q), axis=2).reshape(side // 2, side)
+    idx = source_index(ArnoldSpec(side, key.arnold_iterations), row_step=2)
+    flat = host_grid.ravel()
+    # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
+    embedded = (flat + 0.0).reshape(side, side)
+    embedded.ravel()[idx] = flat[idx] + payload
     return EmbedResult(embedded, compare(host_grid, embedded))
 
 
@@ -103,8 +107,8 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
     if key.strength == 0.0:
         raise ParameterError("strength must be positive for extraction")
 
-    spec = ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations)
-    r = scramble(embedded_grid - host_grid, spec)[0::2]
+    idx = source_index(ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations), row_step=2)
+    r = embedded_grid.ravel()[idx] - host_grid.ravel()[idx]
     a, b = r[:, 0::2], r[:, 1::2]
     coded = (dct2(a + b) + 1j * dct2(a - b)) / (2.0 * key.strength)
     return np.abs(propagate_inverse(coded, key.fresnel))

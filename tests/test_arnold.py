@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, ParameterError, ShapeError, period,
                           scramble, unscramble)
@@ -117,6 +119,35 @@ def test_unscramble_equals_forward_remainder():
         back = unscramble(img, ArnoldSpec(size=n, iterations=steps))
         forward = scramble(img, ArnoldSpec(size=n, iterations=(cycle - steps) % cycle))
         assert np.array_equal(back, forward), f"steps={steps}"
+
+
+def one_step_loop(img, steps):
+    """steps applications of the documented pixel map, (a, b) to
+    ((a + b) mod n, (a + 2b) mod n), one pixel at a time."""
+    n = img.shape[0]
+    for _ in range(steps):
+        out = np.empty_like(img)
+        for a in range(n):
+            for b in range(n):
+                out[(a + b) % n, (a + 2 * b) % n] = img[a, b]
+        img = out
+    return img
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), side=st.integers(2, 40), complex_grid=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_gather_matches_iterated_pixel_map(data, side, complex_grid, seed):
+    steps = data.draw(st.integers(0, 3 * period(side)), label="steps")
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(0, 255, size=(side, side))
+    if complex_grid:
+        img = img + 1j * rng.uniform(-1, 1, size=(side, side))
+    spec = ArnoldSpec(size=side, iterations=steps)
+    out = scramble(img, spec)
+    assert out.dtype == img.dtype
+    assert np.array_equal(out, one_step_loop(img, steps))
+    assert np.array_equal(unscramble(out, spec), img)
 
 
 def test_complex_grids_scramble_too():

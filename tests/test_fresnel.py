@@ -31,6 +31,11 @@ def test_params_validation():
         FresnelParams(wavelength=math.nan, distance=1.0, pitch=1e-8)
     with pytest.raises(ParameterError):
         FresnelParams(wavelength="soon", distance=1.0, pitch=1e-8)
+    # bools and numeric strings are not real numbers, although float() takes them
+    with pytest.raises(ParameterError):
+        FresnelParams(wavelength=True, distance=1.0, pitch=1e-8)
+    with pytest.raises(ParameterError):
+        FresnelParams(wavelength=632.8e-9, distance="0.05", pitch=1e-8)
 
 
 def test_zero_distance_is_exact_identity():
@@ -60,15 +65,17 @@ def test_round_trip_at_reference_params():
 
 
 def test_inverse_matches_conjugate_factor():
-    # pins the sign convention: forward uses exp(-i phase), inverse exp(+i phase)
-    p = DESK
-    f = random_field(32, 9)
-    nu = np.fft.fftfreq(32, d=p.pitch)
-    phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-    expected_fwd = ifft2(fft2(f) * np.exp(-1j * phase))
-    expected_inv = ifft2(fft2(f) * np.exp(1j * phase))
-    assert np.max(np.abs(propagate(f, p) - expected_fwd)) < 1e-12
-    assert np.max(np.abs(propagate_inverse(f, p) - expected_inv)) < 1e-12
+    # pins the sign convention, forward exp(-i phase) and inverse exp(+i phase),
+    # and that the factor built from its quadrant equals the full-grid one bit for bit
+    metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)  # phases near 1e7 rad
+    for side, p in ((2, DESK), (4, DESK), (32, DESK), (256, DESK), (256, metre_range)):
+        f = random_field(side, 9)
+        nu = np.fft.fftfreq(side, d=p.pitch)
+        phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
+        expected_fwd = ifft2(fft2(f) * np.exp(-1j * phase))
+        expected_inv = ifft2(fft2(f) * np.exp(1j * phase))
+        assert np.array_equal(propagate(f, p), expected_fwd), (side, p)
+        assert np.array_equal(propagate_inverse(f, p), expected_inv), (side, p)
 
 
 def test_composition_adds_distances():

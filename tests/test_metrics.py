@@ -44,7 +44,7 @@ def test_psnr_monotone_in_mse():
 
 
 def test_psnr_rejects_negative_mse():
-    for bad in (-1.0, math.inf, math.nan, None):
+    for bad in (-1.0, math.inf, math.nan, None, "65025"):
         with pytest.raises(ParameterError):
             psnr_from_mse(bad)
 
@@ -78,6 +78,10 @@ def test_cc_undefined_for_constant_inputs():
         cc(varied, flat)
     with pytest.raises(UndefinedCorrelationError):
         cc(flat, flat)
+    with pytest.raises(UndefinedCorrelationError):
+        compare(flat, varied)
+    with pytest.raises(UndefinedCorrelationError):
+        compare(varied, flat)
 
 
 def test_ssim_identical_images():
@@ -174,3 +178,7 @@ def test_shape_and_data_rejection():
     bad[0, 0] = np.nan
     with pytest.raises(DataError):
         mse(bad, np.zeros((4, 4)))
+    with pytest.raises(ShapeError):
+        compare(np.zeros((4, 4)), np.zeros((4, 8)))
+    with pytest.raises(DataError):
+        compare(np.zeros((4, 4)), bad)

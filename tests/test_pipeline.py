@@ -46,6 +46,8 @@ def test_key_validation():
         StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=-0.1)
     with pytest.raises(ParameterError):
         StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=float("nan"))
+    with pytest.raises(ParameterError):
+        StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=True)
     # zero strength is legal to construct: embed treats it as a diagnostic identity
     assert StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=0.0).strength == 0.0
 
