@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     cmd = commands.add_parser("embed", help="hide a secret image inside a host image")
-    cmd.add_argument("--host", required=True, help="square cover image, side a power of two")
+    cmd.add_argument("--host", required=True, help="square cover image, side divisible by 4")
     cmd.add_argument("--secret", required=True, help="square image with side half the host's")
     cmd.add_argument("--key", required=True, help="key file")
     cmd.add_argument("--out", required=True, help="output path")

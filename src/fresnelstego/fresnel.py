@@ -11,7 +11,9 @@ The exponent sign is a convention; the inverse applies the conjugate
 factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
 fftfreq negates bins exactly (nu[N - k] == -nu[k]), so the factor is a
-bit-exact mirror of its (N/2 + 1)-square quadrant, the only part exponentiated.
+bit-exact mirror of its (N//2 + 1)-square quadrant, the only part
+exponentiated. Any square side works, odd ones included: the orthonormal
+DFT is unitary at every size.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import ComplexGrid, as_field, checked_real, square_power_of_two
+from .numerics import ComplexGrid, as_field, checked_real, checked_square
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class FresnelParams:
 
 
 def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
-    f = square_power_of_two(as_field(field), "field")
+    f = checked_square(as_field(field), "field", 1)
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
@@ -62,7 +64,7 @@ def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
 
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:
-    """Forward Fresnel transform of a square power-of-two field."""
+    """Forward Fresnel transform of a square field of any side."""
     return _filter(field, params, -1.0)
 
 

@@ -27,7 +27,7 @@ class ComplexQuad(NamedTuple):
 
 
 def fresnelet_analyze(img, params: FresnelParams) -> ComplexQuad:
-    """Complex coefficient quad of a square power-of-two image."""
+    """Complex coefficient quad of a square image with an even side."""
     field = propagate(as_image(img), params)
     return ComplexQuad(*dwt2(field))
 

@@ -74,17 +74,14 @@ def _correlation(moments) -> float:
     return sab / denominator
 
 
-def _ssim_terms(moments, count, c1, c2, structure_denominator) -> SsimBreakdown:
+def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
     mu_a, mu_b, saa, sbb, sab = moments
     var_a, var_b, cov = saa / count, sbb / count, sab / count
     sigma_a, sigma_b = math.sqrt(var_a), math.sqrt(var_b)
     c3 = c2 / 2.0
     luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
     contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
-    if structure_denominator == "sigma_product":
-        structure = (cov + c3) / (sigma_a * sigma_b + c3)
-    else:
-        structure = (2.0 * cov + c3) / (cov + c3)
+    structure = (cov + c3) / (sigma_a * sigma_b + c3)
     return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
 
 
@@ -117,34 +114,23 @@ def cc(a, b) -> float:
     return _correlation(_moments(*_pair(a, b)))
 
 
-def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2,
-         structure_denominator: str = "sigma_product") -> SsimBreakdown:
+def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
     """Global SSIM with its three comparison terms.
 
         luminance = (2*mu_a*mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
         contrast  = (2*sigma_a*sigma_b + c2) / (sigma_a**2 + sigma_b**2 + c2)
+        structure = (cov + c3) / (sigma_a*sigma_b + c3), with c3 = c2 / 2
 
-    with c3 = c2 / 2 in the structure term. Two pairings of that term are
-    in circulation, selected by structure_denominator:
-
-        "sigma_product": (cov + c3) / (sigma_a*sigma_b + c3)
-        "covariance":    (2*cov + c3) / (cov + c3)
-
-    Only the default keeps structure(a, a) = 1 and the overall product at
-    1 for identical inputs; the alternative is provided for comparison
-    against sources that use it.
+    so identical inputs score 1.
     """
-    if structure_denominator not in ("sigma_product", "covariance"):
-        raise ParameterError(
-            f"unknown structure_denominator {structure_denominator!r}")
     ga, gb = _pair(a, b)
-    return _ssim_terms(_moments(ga, gb), ga.size, c1, c2, structure_denominator)
+    return _ssim_terms(_moments(ga, gb), ga.size, c1, c2)
 
 
 def compare(a, b) -> MetricsReport:
     """Every measure for one pair, from one validation and one moment pass."""
     ga, gb = _pair(a, b)
     m, moments = _mse(ga, gb), _moments(ga, gb)
-    terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2, "sigma_product")
+    terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
     return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)

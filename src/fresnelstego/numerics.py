@@ -1,8 +1,9 @@
 """Input rules and the unitary 2-D DFT.
 
 Every rule the package applies to a caller's grid or scalar is defined
-here once: finite 2-D grids, square power-of-two sides, integer counts
-and finite reals. Callers add only their own range limits.
+here once: finite 2-D grids, square sides divisible by what the caller
+needs, integer counts and finite reals. Callers add only their own range
+limits.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields. ImageGrid and ComplexGrid are aliases for documentation, not
@@ -19,10 +20,6 @@ from .errors import DataError, ParameterError, ShapeError
 
 ImageGrid = np.ndarray
 ComplexGrid = np.ndarray
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def as_image(samples) -> ImageGrid:
@@ -76,37 +73,30 @@ def checked_real(name: str, value) -> float:
     """Return value as a finite float; bools and non-reals raise ParameterError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is too large for a float") from None
     if not math.isfinite(v):
         raise ParameterError(f"{name} must be finite, got {v!r}")
     return v
 
 
-def square_power_of_two(g: np.ndarray, what: str) -> np.ndarray:
-    """Return g if it is square with a power-of-two side, else raise
-    ShapeError naming what."""
+def checked_square(g: np.ndarray, what: str, divisor: int) -> np.ndarray:
+    """Return g if it is square with a side divisible by divisor, else
+    raise ShapeError naming what."""
     r, c = g.shape
-    if r != c or not is_power_of_two(r):
-        raise ShapeError(f"{what} must be square with a power-of-two side, got {r}x{c}")
+    if r != c or r % divisor:
+        rule = "square" if divisor == 1 else f"square with a side divisible by {divisor}"
+        raise ShapeError(f"{what} must be {rule}, got {r}x{c}")
     return g
 
 
-def _require_power_of_two(g: np.ndarray) -> None:
-    r, c = g.shape
-    if not (is_power_of_two(r) and is_power_of_two(c)):
-        raise ShapeError(f"dimensions must be powers of two, got {r}x{c}")
-
-
 def fft2(grid) -> ComplexGrid:
-    """Unitary 2-D DFT. Power-of-two dimensions only, so the l2 norm is
-    preserved to machine precision and round trips are exact."""
-    g = as_field(grid)
-    _require_power_of_two(g)
-    return np.fft.fft2(g, norm="ortho")
+    """Unitary (orthonormal) 2-D DFT of a grid of any shape."""
+    return np.fft.fft2(as_field(grid), norm="ortho")
 
 
 def ifft2(grid) -> ComplexGrid:
     """Inverse of fft2, same conventions."""
-    g = as_field(grid)
-    _require_power_of_two(g)
-    return np.fft.ifft2(g, norm="ortho")
+    return np.fft.ifft2(as_field(grid), norm="ortho")

@@ -25,6 +25,11 @@ difference are a + b and a - b, so
 
 Averaging the two band pairs lets quantization noise in a delivered
 8-bit embedded image partially cancel.
+
+The host side must be divisible by 4: the Fresnelet applies its Haar
+step to the secret, of half the host's side, so the paper's chain is
+defined only when that half side is even. The closed form above would
+run at any even side, but not as a scheme the paper defines.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, propagate, propagate_inverse
 from .metrics import MetricsReport, compare
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
-                       square_power_of_two)
+                       checked_square)
 from .wavelet_dct import dct2, idct2
 
 
@@ -72,10 +77,10 @@ class EmbedResult(NamedTuple):
 
 
 def embed(host, secret, key: StegoKey) -> EmbedResult:
-    """Hide secret inside host. The secret must be square with side half
-    the host's. Returns the float embedded image plus a quality report
-    against the original host."""
-    host_grid = square_power_of_two(as_image(host), "host")
+    """Hide secret inside host. The host must be square with a side
+    divisible by 4 and the secret square with half that side. Returns the
+    float embedded image plus a quality report against the original host."""
+    host_grid = checked_square(as_image(host), "host", 4)
     secret_grid = as_image(secret)
     side = host_grid.shape[0]
     expected = (side // 2, side // 2)
@@ -99,8 +104,8 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
 def extract(embedded, host, key: StegoKey) -> ImageGrid:
     """Recover the hidden image from an embedded image given the original
     host and the exact key."""
-    embedded_grid = square_power_of_two(as_image(embedded), "embedded image")
-    host_grid = square_power_of_two(as_image(host), "host")
+    embedded_grid = checked_square(as_image(embedded), "embedded image", 4)
+    host_grid = checked_square(as_image(host), "host", 4)
     if embedded_grid.shape != host_grid.shape:
         raise ShapeError(
             f"shape mismatch: embedded {embedded_grid.shape} vs host {host_grid.shape}")

@@ -25,8 +25,9 @@ def first_return_time(n):
 
 def test_known_periods():
     # 480 = 32 * 3 * 5, and D has orders 24, 4 and 10 there, so by the
-    # Chinese remainder theorem period(480) = lcm(24, 4, 10) = 120
-    expected = {2: 3, 16: 12, 64: 48, 128: 96, 256: 192, 480: 120, 512: 384}
+    # Chinese remainder theorem period(480) = lcm(24, 4, 10) = 120; likewise
+    # period(500) = lcm(period(4), period(125)) = lcm(3, 250) = 750
+    expected = {2: 3, 16: 12, 64: 48, 128: 96, 256: 192, 480: 120, 500: 750, 512: 384}
     for n, t in expected.items():
         assert period(n) == t, f"period({n})"
 

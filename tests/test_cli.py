@@ -158,6 +158,12 @@ def test_data_errors_exit_two(workspace, capsys):
     assert run("metrics", "--a", workspace / "host.pgm", "--b", small) == 2
     # constant inputs leave correlation undefined
     assert run("metrics", "--a", small, "--b", small) == 2
+    # a host side of 2 mod 4 breaks the shape rule
+    odd_half = workspace / "odd_half.pgm"
+    write_pgm(textured_image(102, 3), odd_half)
+    write_pgm(textured_image(51, 4), workspace / "secret51.pgm")
+    assert run("embed", "--host", odd_half, "--secret", workspace / "secret51.pgm",
+               "--key", workspace / "desk.key", "--out", workspace / "o.fimg") == 2
     assert capsys.readouterr().err != ""
 
 

@@ -36,6 +36,9 @@ def test_params_validation():
         FresnelParams(wavelength=True, distance=1.0, pitch=1e-8)
     with pytest.raises(ParameterError):
         FresnelParams(wavelength=632.8e-9, distance="0.05", pitch=1e-8)
+    # an int too large for a float is a bad parameter, not an OverflowError
+    with pytest.raises(ParameterError, match="wavelength is too large"):
+        FresnelParams(wavelength=10 ** 400, distance=1.0, pitch=1e-8)
 
 
 def test_zero_distance_is_exact_identity():
@@ -48,7 +51,7 @@ def test_zero_distance_is_exact_identity():
 
 
 def test_energy_preserved_at_reference_params():
-    for side in (128, 256):
+    for side in (100, 128, 255, 256):
         f = random_field(side, side)
         energy_in = np.linalg.norm(f)
         assert abs(np.linalg.norm(propagate(f, REFERENCE)) - energy_in) / energy_in < 1e-12
@@ -68,7 +71,8 @@ def test_inverse_matches_conjugate_factor():
     # pins the sign convention, forward exp(-i phase) and inverse exp(+i phase),
     # and that the factor built from its quadrant equals the full-grid one bit for bit
     metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)  # phases near 1e7 rad
-    for side, p in ((2, DESK), (4, DESK), (32, DESK), (256, DESK), (256, metre_range)):
+    for side, p in ((2, DESK), (3, DESK), (4, DESK), (7, DESK), (32, DESK), (48, DESK),
+                    (100, DESK), (256, DESK), (256, metre_range)):
         f = random_field(side, 9)
         nu = np.fft.fftfreq(side, d=p.pitch)
         phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
@@ -135,6 +139,6 @@ def test_shape_rejection():
     with pytest.raises(ShapeError):
         propagate(np.zeros((64, 32)), DESK)
     with pytest.raises(ShapeError):
-        propagate(np.zeros((48, 48)), DESK)
+        propagate(np.zeros((48, 50)), DESK)
     with pytest.raises(ShapeError):
         propagate_inverse(np.zeros((64, 32)), DESK)

@@ -44,7 +44,7 @@ def test_psnr_monotone_in_mse():
 
 
 def test_psnr_rejects_negative_mse():
-    for bad in (-1.0, math.inf, math.nan, None, "65025"):
+    for bad in (-1.0, math.inf, math.nan, None, "65025", 10 ** 400):
         with pytest.raises(ParameterError):
             psnr_from_mse(bad)
 
@@ -107,20 +107,6 @@ def test_ssim_luminance_at_constant_extremes():
     result = ssim(np.zeros((8, 8)), np.full((8, 8), 255.0))
     assert result.luminance == pytest.approx(c1 / (255.0 ** 2 + c1), rel=1e-12)
     assert result.luminance < 1e-3
-
-
-def test_ssim_structure_denominator_options():
-    a = textured_image(32, 9)
-    b = textured_image(32, 10)
-    default = ssim(a, b)
-    verbatim = ssim(a, b, structure_denominator="covariance")
-    assert default.structure != verbatim.structure
-    # the alternative pairing saturates toward 2 on self-comparison, which
-    # is why it is not the default
-    self_verbatim = ssim(a, a, structure_denominator="covariance")
-    assert self_verbatim.structure > 1.9
-    with pytest.raises(ParameterError):
-        ssim(a, b, structure_denominator="other")
 
 
 def test_ssim_bounded_on_random_pairs():

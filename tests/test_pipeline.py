@@ -48,6 +48,8 @@ def test_key_validation():
         StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=float("nan"))
     with pytest.raises(ParameterError):
         StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=True)
+    with pytest.raises(ParameterError):
+        StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=10 ** 400)
     # zero strength is legal to construct: embed treats it as a diagnostic identity
     assert StegoKey(fresnel=REFERENCE_PARAMS, arnold_iterations=1, strength=0.0).strength == 0.0
 
@@ -179,8 +181,10 @@ def test_shape_contracts():
     host, secret = small_pair()
     with pytest.raises(ShapeError):
         embed(host[:64, :], secret, DESK_KEY)
+    # a side of 2 mod 4 leaves the secret an odd side, where the paper's
+    # Haar step on the secret is undefined
     with pytest.raises(ShapeError):
-        embed(textured_image(100, 1), textured_image(50, 2), DESK_KEY)
+        embed(textured_image(102, 1), textured_image(51, 2), DESK_KEY)
     with pytest.raises(ShapeError):
         embed(host, secret[:32, :32], DESK_KEY)
     with pytest.raises(ShapeError):
@@ -217,21 +221,27 @@ def staged_extract(embedded, host, key):
     return np.abs(fresnelet_synthesize(quad, key.fresnel))
 
 
+# host sides divisible by 4, powers of two or not, each with steps in 0...3 * period(side)
+SIDE_AND_STEPS = st.sampled_from((12, 20, 48, 64, 100)).flatmap(
+    lambda side: st.tuples(st.just(side), st.integers(0, 3 * period(side))))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(strength=st.floats(0.005, 2.0),
-       iterations=st.integers(0, 3 * period(64)),
+       side_and_steps=SIDE_AND_STEPS,
        distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
        seed=st.integers(0, 2 ** 16))
-def test_closed_form_matches_staged_chain(strength, iterations, distance, seed):
-    host = textured_image(64, seed)
-    secret = textured_image(32, seed + 1, rolloff=6.0)
+def test_closed_form_matches_staged_chain(strength, side_and_steps, distance, seed):
+    side, iterations = side_and_steps
+    host = textured_image(side, seed)
+    secret = textured_image(side // 2, seed + 1, rolloff=6.0)
     key = StegoKey(fresnel=FresnelParams(632.8e-9, distance, 10e-6),
                    arnold_iterations=iterations, strength=strength)
 
     embedded = embed(host, secret, key).embedded
     assert np.max(np.abs(embedded - staged_embed(host, secret, key))) < 1e-9
     # odd scrambled rows carry no payload, so there the host is untouched
-    spec = ArnoldSpec(64, iterations)
+    spec = ArnoldSpec(side, iterations)
     assert np.all(scramble(embedded - host, spec)[1::2] == 0.0)
 
     for delivered in (embedded, quantize_u8(embedded)):
