@@ -83,12 +83,12 @@ def source_index(spec: ArnoldSpec, inverse: bool = False, row_step: int = 1) -> 
     scramble (of unscramble when inverse): scramble(g, spec)[::row_step]
     is g.ravel()[source_index(spec, row_step=row_step)]."""
     n = spec.size
-    m = _mat_pow(_FORWARD if inverse else _INVERSE, spec.iterations, n)
-    # int32 halves the memory traffic; both sums stay below 2 * n * n
-    dtype = np.int32 if 2 * n * n < 2 ** 31 else np.int64
-    r = np.arange(0, n, row_step, dtype=dtype)[:, None]
-    c = np.arange(n, dtype=dtype)
-    return (m[0][0] * r + m[0][1] * c) % n * n + (m[1][0] * r + m[1][1] * c) % n
+    (a, b), (c, d) = _mat_pow(_FORWARD if inverse else _INVERSE, spec.iterations, n)
+    # native intp indices: numpy gathers and scatters through int32 ones more slowly
+    rows, cols = np.arange(0, n, row_step)[:, None], np.arange(n)
+    # a row term plus a column term, each reduced mod n, is below 2n: wrap reduces it
+    wrap = np.arange(2 * n) % n
+    return (wrap * n)[a * rows % n + b * cols % n] + wrap[c * rows % n + d * cols % n]
 
 
 def _gather(img, spec: ArnoldSpec, inverse: bool) -> np.ndarray:

@@ -12,14 +12,15 @@ factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
 fftfreq negates bins exactly (nu[N - k] == -nu[k]), so the factor is a
 bit-exact mirror of its (N//2 + 1)-square quadrant, the only part
-exponentiated. Any square side works, odd ones included: the orthonormal
-DFT is unitary at every size.
+exponentiated; it scales a scipy.fft spectrum in place. Any square side
+works, odd ones included: the orthonormal DFT is unitary at every size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import ParameterError
 from .numerics import ComplexGrid, as_field, checked_real, checked_square
@@ -59,8 +60,9 @@ def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
     phase = np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
     # bin i carries the factor of bin min(i, side - i), exactly
     k = np.minimum(np.arange(side), side - np.arange(side))
-    factor = np.exp(sign * 1j * phase)[k][:, k]
-    return np.fft.ifft2(np.fft.fft2(f, norm="ortho") * factor, norm="ortho")
+    spectrum = scipy.fft.fft2(f, norm="ortho")
+    spectrum *= np.exp(sign * 1j * phase)[k][:, k]
+    return scipy.fft.ifft2(spectrum, norm="ortho", overwrite_x=True)
 
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:

@@ -1,10 +1,10 @@
 """Image-pair quality measures: MSE, PSNR, correlation, global SSIM.
 
-SSIM here is computed from whole-image statistics (a single window
-covering the full grid). Sliding-window implementations will report
-different values for the same pair; comparisons across tools must keep
-that in mind. Variances are population variances (mean of squared
-deviations, no Bessel correction).
+SSIM here uses whole-image statistics (one window covering the grid), so
+sliding-window implementations report different values for the same
+pair. Variances are population variances (no Bessel correction). Every
+measure but mse follows from five moments, which compare_changed gets
+from moment algebra when a pair differs only at known samples.
 """
 from __future__ import annotations
 
@@ -61,8 +61,9 @@ def _moments(ga, gb):
     return mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)), float(np.sum(da * db))
 
 
-def _mse(ga, gb) -> float:
-    return float(np.mean(np.square(ga - gb)))
+def _mse(ga, gb, out=None) -> float:
+    d = np.subtract(ga, gb, out=out)
+    return float(np.mean(np.multiply(d, d, out=d)))
 
 
 def _correlation(moments) -> float:
@@ -77,11 +78,12 @@ def _correlation(moments) -> float:
 def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
     mu_a, mu_b, saa, sbb, sab = moments
     var_a, var_b, cov = saa / count, sbb / count, sab / count
-    sigma_a, sigma_b = math.sqrt(var_a), math.sqrt(var_b)
+    # identical inputs score exactly 1: sqrt(v * v) == v, unlike sqrt(v)**2
+    sigma_ab = math.sqrt(var_a * var_b)
     c3 = c2 / 2.0
     luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
-    contrast = (2.0 * sigma_a * sigma_b + c2) / (var_a + var_b + c2)
-    structure = (cov + c3) / (sigma_a * sigma_b + c3)
+    contrast = (2.0 * sigma_ab + c2) / (var_a + var_b + c2)
+    structure = (cov + c3) / (sigma_ab + c3)
     return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
 
 
@@ -127,10 +129,30 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
     return _ssim_terms(_moments(ga, gb), ga.size, c1, c2)
 
 
+def _report(m, moments, count) -> MetricsReport:
+    terms = _ssim_terms(moments, count, DEFAULT_C1, DEFAULT_C2)
+    # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
+    return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)
+
+
 def compare(a, b) -> MetricsReport:
     """Every measure for one pair, from one validation and one moment pass."""
     ga, gb = _pair(a, b)
-    m, moments = _mse(ga, gb), _moments(ga, gb)
-    terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2)
-    # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
-    return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)
+    return _report(_mse(ga, gb), _moments(ga, gb), ga.size)
+
+
+def compare_changed(host, changed, before, after) -> MetricsReport:
+    """compare(host, changed) for checked float grids that differ only where
+    host samples before became after: with d = after - before, N samples and
+    mu = mean(host), changed has mean mu + sum(d) / N, S_he = S_hh + S_hd and
+    S_ee = S_hh + 2 * S_hd + sum(d * d) - sum(d)**2 / N, S_hd = sum((before - mu) * d)."""
+    count, mu = host.size, float(host.mean())
+    dh = host - mu
+    s_hh = float(np.sum(np.multiply(dh, dh, out=dh)))
+    d, db = after - before, before - mu
+    s_d, s_hd = float(np.sum(d)), float(np.sum(np.multiply(db, d, out=db)))
+    s_dd = float(np.sum(np.multiply(d, d, out=d)))
+    moments = (mu, mu + s_d / count, s_hh,
+               s_hh + 2.0 * s_hd + s_dd - s_d * s_d / count, s_hh + s_hd)
+    # reusing dh spares a fresh full-grid buffer, which can cost more than its pass
+    return _report(_mse(host, changed, out=dh), moments, count)

@@ -13,13 +13,13 @@ F = propagate(secret), P = idct2(Re F) and Q = idct2(Im F):
 hence embedded = host + s * unscramble(D). The host is never scrambled,
 split or transformed, and as D's odd rows are zero, unscramble(D) is
 D[0::2] at idx = arnold.source_index(spec, row_step=2), the flat sources
-of scramble's even rows, and zero elsewhere: embed adds at idx only.
+of scramble's even rows, and zero elsewhere: embed adds at idx only, and
+its report (metrics.compare_changed) is host moments plus sums over idx.
 
 Extraction is non-blind: it needs the original host and the same key.
-With R = scramble(embedded - host)[0::2], gathered as
-embedded.ravel()[idx] - host.ravel()[idx], a = R[:, 0::2] and
-b = R[:, 1::2], the band sums ll + lh and hl + hh of the scrambled
-difference are a + b and a - b, so
+With R = scramble(embedded - host)[0::2], gathered once from the
+difference at idx, a = R[:, 0::2] and b = R[:, 1::2], the band sums
+ll + lh and hl + hh of the scrambled difference are a + b and a - b, so
 
     secret = |propagate_inverse((dct2(a + b) + i * dct2(a - b)) / (2s))|.
 
@@ -41,7 +41,7 @@ import numpy as np
 from .arnold import ArnoldSpec, source_index
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, propagate, propagate_inverse
-from .metrics import MetricsReport, compare
+from .metrics import MetricsReport, compare_changed
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
                        checked_square)
 from .wavelet_dct import dct2, idct2
@@ -95,10 +95,12 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     payload = key.strength * np.stack((p + q, p - q), axis=2).reshape(side // 2, side)
     idx = source_index(ArnoldSpec(side, key.arnold_iterations), row_step=2)
     flat = host_grid.ravel()
+    before = flat[idx]
+    after = before + payload
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = (flat + 0.0).reshape(side, side)
-    embedded.ravel()[idx] = flat[idx] + payload
-    return EmbedResult(embedded, compare(host_grid, embedded))
+    embedded.ravel()[idx] = after
+    return EmbedResult(embedded, compare_changed(host_grid, embedded, before, after))
 
 
 def extract(embedded, host, key: StegoKey) -> ImageGrid:
@@ -113,7 +115,8 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
         raise ParameterError("strength must be positive for extraction")
 
     idx = source_index(ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations), row_step=2)
-    r = embedded_grid.ravel()[idx] - host_grid.ravel()[idx]
+    r = (embedded_grid - host_grid).ravel()[idx] / (2.0 * key.strength)
     a, b = r[:, 0::2], r[:, 1::2]
-    coded = (dct2(a + b) + 1j * dct2(a - b)) / (2.0 * key.strength)
+    coded = dct2(a + b).astype(np.complex128)
+    coded.imag = dct2(a - b)
     return np.abs(propagate_inverse(coded, key.fresnel))

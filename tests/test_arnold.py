@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, ParameterError, ShapeError, period,
                           scramble, unscramble)
+from fresnelstego.arnold import source_index
 
 
 def index_grid(n):
@@ -166,3 +167,28 @@ def test_shape_mismatches_rejected():
         scramble(np.zeros((8, 8)), spec)
     with pytest.raises(ShapeError):
         unscramble(np.zeros((32, 32)), spec)
+
+
+def matrix_power_by_steps(m, steps, n):
+    """m**steps mod n, one plain matrix product per step."""
+    p = ((1, 0), (0, 1))
+    for _ in range(steps):
+        p = tuple(tuple(sum(p[i][k] * m[k][j] for k in range(2)) % n for j in range(2))
+                  for i in range(2))
+    return p
+
+
+@pytest.mark.parametrize("side", list(range(2, 41)) + [480, 1024])
+def test_source_index_equals_plain_modular_formula(side):
+    # scramble reads through D**-steps (the adjugate [[2, -1], [-1, 1]] to the
+    # power steps), unscramble through D**steps
+    cycle = period(side)
+    for steps in sorted({0, 1, 7 % cycle, cycle - 1}):
+        for inverse, m in ((False, ((2, -1), (-1, 1))), (True, ((1, 1), (1, 2)))):
+            (a, b), (c, d) = matrix_power_by_steps(m, steps, side)
+            for row_step in (1, 2):
+                r = np.arange(0, side, row_step, dtype=np.int64)[:, None]
+                col = np.arange(side, dtype=np.int64)
+                plain = (a * r + b * col) % side * side + (c * r + d * col) % side
+                got = source_index(ArnoldSpec(side, steps), inverse, row_step)
+                assert np.array_equal(got, plain), (steps, inverse, row_step)

@@ -1,0 +1,83 @@
+"""Golden outputs of embed and extract, pinned within a stated bound.
+
+golden_pipeline.npz holds outputs computed once, by running this file as
+a script, on the synth.py pairs at host sides 20 and 64 with the shipped
+key and a zero-distance key. Any later version of the package must
+reproduce them within the tolerance contract the README states:
+
+  - float grids (the embedded image, float extraction and the extraction
+    of the 8-bit delivery) within FLOAT_ATOL gray levels;
+  - the 8-bit delivery, quantize_u8(embedded), pixel for pixel;
+  - every MetricsReport field within REPORT_RTOL relative, an infinite
+    PSNR exactly.
+
+Regenerate only when an output is meant to change, and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fresnelstego import (FresnelParams, StegoKey, default_key_path, embed,
+                          extract, load_key, quantize_u8)
+from synth import textured_image
+
+GOLDEN = Path(__file__).with_name("golden_pipeline.npz")
+FLOAT_ATOL = 1e-9
+REPORT_RTOL = 1e-12
+SIDES = (20, 64)
+KEYS = {
+    "shipped": load_key(default_key_path()),
+    "zero-distance": StegoKey(FresnelParams(632.8e-9, 0.0, 10e-9),
+                              arnold_iterations=5, strength=0.08),
+}
+CASES = [(side, name) for side in SIDES for name in KEYS]
+
+
+def outputs(side, key_name):
+    """Every pinned output of one case, keyed by its name in the archive."""
+    key = KEYS[key_name]
+    host = textured_image(side, 101)
+    secret = textured_image(side // 2, 201, rolloff=6.0)
+    result = embed(host, secret, key)
+    delivered = quantize_u8(result.embedded)
+    return {
+        "embedded": result.embedded,
+        "delivered": delivered.astype(np.uint8),
+        "extract": extract(result.embedded, host, key),
+        "extract_u8": extract(delivered, host, key),
+        "report": np.array(dataclasses.astuple(result.report)),
+    }
+
+
+def _name(side, key_name, output):
+    return f"{side}/{key_name}/{output}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN) as archive:
+        return dict(archive)
+
+
+@pytest.mark.parametrize("side,key_name", CASES)
+def test_outputs_match_golden_within_contract(golden, side, key_name):
+    got = outputs(side, key_name)
+    want = {output: golden[_name(side, key_name, output)] for output in got}
+    for output in ("embedded", "extract", "extract_u8"):
+        assert got[output].shape == want[output].shape
+        assert np.max(np.abs(got[output] - want[output])) <= FLOAT_ATOL, output
+    assert np.array_equal(got["delivered"], want["delivered"])
+    # approx holds an infinite PSNR to exact equality
+    assert got["report"] == pytest.approx(want["report"], rel=REPORT_RTOL, abs=0.0)
+
+
+if __name__ == "__main__":
+    arrays = {_name(side, key_name, output): value
+              for side, key_name in CASES
+              for output, value in outputs(side, key_name).items()}
+    np.savez_compressed(GOLDEN, **arrays)
+    print(f"wrote {len(arrays)} arrays to {GOLDEN}")

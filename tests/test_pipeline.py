@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, FresnelParams, ParameterError,
-                          QuadBands, ShapeError, StegoKey, cc, dct2, dwt2,
+                          QuadBands, ShapeError, StegoKey,
+                          UndefinedCorrelationError, cc, compare, dct2, dwt2,
                           embed, extract, fresnelet_analyze,
                           fresnelet_synthesize, idct2, idwt2, mse, period,
                           psnr, quantize_u8, scramble, unscramble)
@@ -86,6 +89,22 @@ def test_embed_report_matches_outputs():
     result = embed(host, secret, DESK_KEY)
     assert result.embedded.shape == host.shape
     assert result.report.mse == mse(host, result.embedded)
+
+
+def test_embed_report_of_constant_host_is_undefined():
+    _, secret = small_pair()
+    with pytest.raises(UndefinedCorrelationError):
+        embed(np.full((128, 128), 77.0), secret, DESK_KEY)
+
+
+def test_zero_strength_report_is_exact():
+    host, secret = small_pair()
+    key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=12, strength=0.0)
+    report = embed(host, secret, key).report
+    assert report.mse == 0.0
+    assert report.psnr_db == math.inf
+    assert (report.cc, report.ssim, report.luminance, report.contrast,
+            report.structure) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_embed_mse_follows_strength_squared():
@@ -247,3 +266,21 @@ def test_closed_form_matches_staged_chain(strength, side_and_steps, distance, se
     for delivered in (embedded, quantize_u8(embedded)):
         recovered = extract(delivered, host, key)
         assert np.max(np.abs(recovered - staged_extract(delivered, host, key))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(side_and_steps=SIDE_AND_STEPS,
+       strength=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       seed=st.integers(0, 2 ** 16))
+def test_embed_report_equals_compare(side_and_steps, strength, seed):
+    # embed scores only the samples it changed; compare scores whole grids
+    side, steps = side_and_steps
+    host = textured_image(side, seed)
+    secret = textured_image(side // 2, seed + 1, rolloff=6.0)
+    key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=steps, strength=strength)
+    result = embed(host, secret, key)
+    expected = compare(host, result.embedded)
+    assert result.report.mse == expected.mse
+    for name in ("psnr_db", "cc", "ssim", "luminance", "contrast", "structure"):
+        value, want = getattr(result.report, name), getattr(expected, name)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0), name
