@@ -14,8 +14,7 @@ from .formats import (default_key_path, load_key, parse_key_text, quantize_u8,
                       read_float_image, read_image, read_pgm,
                       write_float_image, write_image, write_pgm)
 from .fresnel import FresnelParams, propagate, propagate_inverse
-from .fresnelet import (ComplexQuad, fresnelet_analyze, fresnelet_synthesize,
-                        magnitude)
+from .fresnelet import fresnelet_analyze, fresnelet_synthesize, magnitude
 from .metrics import (DEFAULT_C1, DEFAULT_C2, MetricsReport, SsimBreakdown,
                       cc, compare, mse, psnr, psnr_from_mse, ssim)
 from .numerics import ComplexGrid, ImageGrid, fft2, ifft2
@@ -25,7 +24,7 @@ from .wavelet_dct import QuadBands, dct2, dwt2, idct2, idwt2
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArnoldSpec", "ComplexGrid", "ComplexQuad", "DEFAULT_C1", "DEFAULT_C2",
+    "ArnoldSpec", "ComplexGrid", "DEFAULT_C1", "DEFAULT_C2",
     "DataError", "EmbedResult", "FormatError", "FresnelParams", "ImageGrid",
     "KeyFileError", "MetricsReport", "ParameterError", "QuadBands",
     "ShapeError", "SsimBreakdown", "StegoError", "StegoKey",

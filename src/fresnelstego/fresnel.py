@@ -17,6 +17,7 @@ works, odd ones included: the orthonormal DFT is unitary at every size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ class FresnelParams:
             raise ParameterError(f"pitch must be positive, got {self.pitch}")
         if self.distance < 0.0:
             raise ParameterError(f"distance must be non-negative, got {self.distance}")
+        # the largest phase _filter forms, at nu_max = 0.5 / pitch; any factor that
+        # overflows makes it inf or nan, as float * and / overflow without raising
+        nu_max = 0.5 / self.pitch
+        phase = math.pi * self.wavelength * self.distance * (2.0 * nu_max * nu_max)
+        if not math.isfinite(phase):
+            raise ParameterError(
+                f"wavelength, distance and pitch give a non-finite Fresnel phase ({phase})")
 
 
 def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:

@@ -8,8 +8,6 @@ distance the coefficients degenerate to the plain wavelet bands exactly.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .fresnel import FresnelParams, propagate, propagate_inverse
@@ -17,24 +15,14 @@ from .numerics import ComplexGrid, ImageGrid, as_field, as_image
 from .wavelet_dct import QuadBands, dwt2, idwt2
 
 
-class ComplexQuad(NamedTuple):
-    """Complex coefficient bands, same layout as QuadBands."""
-
-    ll: ComplexGrid
-    lh: ComplexGrid
-    hl: ComplexGrid
-    hh: ComplexGrid
-
-
-def fresnelet_analyze(img, params: FresnelParams) -> ComplexQuad:
+def fresnelet_analyze(img, params: FresnelParams) -> QuadBands:
     """Complex coefficient quad of a square image with an even side."""
-    field = propagate(as_image(img), params)
-    return ComplexQuad(*dwt2(field))
+    return dwt2(propagate(as_image(img), params))
 
 
 def fresnelet_synthesize(quad, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of fresnelet_analyze, returning the complex field."""
-    return propagate_inverse(idwt2(QuadBands(*quad)), params)
+    return propagate_inverse(idwt2(quad), params)
 
 
 def magnitude(field) -> ImageGrid:

@@ -4,32 +4,32 @@ The paper's chain scrambles the host, splits it into Haar bands, and
 adds s * idwt2(Re/Im of the Fresnelet quad of the secret) onto the DCT
 coefficients of the band pairs (ll, lh) and (hl, hh). Every stage is
 linear and the Fresnelet's Haar step is undone at once, so with
-F = propagate(secret), P = idct2(Re F) and Q = idct2(Im F):
+F = propagate(secret) and P + iQ = idct2(F), on Re and Im alike:
 
     idct2(dct2(band) + s * Re F) = band + s * P, and
     idwt2(P, P, Q, Q) = D, with D[0::2, 0::2] = P + Q,
     D[0::2, 1::2] = P - Q and odd rows zero,
 
-hence embedded = host + s * unscramble(D). The host is never scrambled,
-split or transformed, and as D's odd rows are zero, unscramble(D) is
-D[0::2] at idx = arnold.source_index(spec, row_step=2), the flat sources
-of scramble's even rows, and zero elsewhere: embed adds at idx only, and
-its report (metrics.compare_changed) is host moments plus sums over idx.
+hence embedded = host + s * unscramble(D). As complex pairs, D[0::2] =
+(1 + i) * conj(P + iQ) = (1 + i) * idct2(propagate_inverse(secret)), the
+secret being real and the transfer factor even in frequency. The host
+is never scrambled, split or transformed, and as D's odd rows are zero,
+unscramble(D) is D[0::2] at idx = arnold.source_index(spec, row_step=2)
+and zero elsewhere: embed adds at idx only, and its report
+(metrics.compare_changed) is host moments plus sums over idx.
 
 Extraction is non-blind: it needs the original host and the same key.
-With R = scramble(embedded - host)[0::2], gathered once from the
-difference at idx, a = R[:, 0::2] and b = R[:, 1::2], the band sums
-ll + lh and hl + hh of the scrambled difference are a + b and a - b, so
+With w = scramble(embedded - host)[0::2], gathered once from the
+difference at idx and read as (real, imag) pairs,
 
-    secret = |propagate_inverse((dct2(a + b) + i * dct2(a - b)) / (2s))|.
+    secret = |propagate(dct2(w / (sqrt(2) * s)))|,
 
-Averaging the two band pairs lets quantization noise in a delivered
-8-bit embedded image partially cancel.
+which for any w, noisy 8-bit deliveries included, is the paper's average
+over the two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|.
 
 The host side must be divisible by 4: the Fresnelet applies its Haar
 step to the secret, of half the host's side, so the paper's chain is
-defined only when that half side is even. The closed form above would
-run at any even side, but not as a scheme the paper defines.
+defined only when that half side is even.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
 from .arnold import ArnoldSpec, source_index
 from .errors import ParameterError, ShapeError
@@ -44,7 +45,6 @@ from .fresnel import FresnelParams, propagate, propagate_inverse
 from .metrics import MetricsReport, compare_changed
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
                        checked_square)
-from .wavelet_dct import dct2, idct2
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    field = propagate(secret_grid, key.fresnel)
-    p, q = idct2(field.real), idct2(field.imag)
-    # s * D[0::2]: P + Q and P - Q interleaved by column
-    payload = key.strength * np.stack((p + q, p - q), axis=2).reshape(side // 2, side)
+    coded = idctn(propagate_inverse(secret_grid, key.fresnel), norm="ortho")
+    coded *= (1 + 1j) * key.strength
+    payload = coded.view(np.float64)  # s * D[0::2]
     idx = source_index(ArnoldSpec(side, key.arnold_iterations), row_step=2)
     flat = host_grid.ravel()
     before = flat[idx]
@@ -115,8 +114,7 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
         raise ParameterError("strength must be positive for extraction")
 
     idx = source_index(ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations), row_step=2)
-    r = (embedded_grid - host_grid).ravel()[idx] / (2.0 * key.strength)
-    a, b = r[:, 0::2], r[:, 1::2]
-    coded = dct2(a + b).astype(np.complex128)
-    coded.imag = dct2(a - b)
-    return np.abs(propagate_inverse(coded, key.fresnel))
+    # scaled before the transforms, so that an overflow (a tiny strength) meets
+    # propagate's finite check and raises DataError instead of returning inf
+    w = (embedded_grid - host_grid).ravel()[idx] / (np.sqrt(2.0) * key.strength)
+    return np.abs(propagate(dctn(w.view(np.complex128), norm="ortho"), key.fresnel))

@@ -26,7 +26,8 @@ from .numerics import ImageGrid, as_grid, as_image
 
 class QuadBands(NamedTuple):
     """One decomposition level: approximation (ll), horizontal detail (lh,
-    high-pass across rows), vertical detail (hl), diagonal detail (hh)."""
+    high-pass across rows), vertical detail (hl), diagonal detail (hh).
+    Bands are real or complex, following the analyzed grid."""
 
     ll: np.ndarray
     lh: np.ndarray

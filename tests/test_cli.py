@@ -184,6 +184,17 @@ def test_key_errors_exit_three(workspace, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_key_with_overflowing_phase_exits_three(workspace, capsys):
+    # pitch 1e-200 m is finite, but its Nyquist frequency squared is not
+    tiny = workspace / "tiny.key"
+    tiny.write_text(DESK_KEY_TEXT.replace("pitch_nm = 10000", "pitch_nm = 1e-191"))
+    for mode in ("float", "u8"):
+        assert run("embed", "--host", workspace / "host.pgm",
+                   "--secret", workspace / "secret.pgm", "--key", tiny,
+                   "--out", workspace / "o.pgm", "--mode", mode) == 3
+        assert "non-finite Fresnel phase" in capsys.readouterr().err
+
+
 def test_zero_strength_extract_exits_three(workspace):
     zero = workspace / "zero.key"
     zero.write_text(DESK_KEY_TEXT.replace("strength = 0.08", "strength = 0"))

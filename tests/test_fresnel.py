@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fresnelstego import (FresnelParams, ParameterError, ShapeError, cc,
-                          fft2, ifft2, magnitude, propagate, propagate_inverse)
+                          default_key_path, fft2, ifft2, load_key, magnitude,
+                          propagate, propagate_inverse)
 from synth import textured_image
 
 REFERENCE = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -39,6 +40,29 @@ def test_params_validation():
     # an int too large for a float is a bad parameter, not an OverflowError
     with pytest.raises(ParameterError, match="wavelength is too large"):
         FresnelParams(wavelength=10 ** 400, distance=1.0, pitch=1e-8)
+
+
+def test_params_with_overflowing_phase_rejected():
+    # each is finite, but the transfer phase _filter would form is not: the
+    # Nyquist frequency squared overflows, or wavelength * distance does
+    for triple in ((632.8e-9, 1.0, 1e-200), (1e300, 1e300, 1e-9),
+                   (1e-150, 1e-150, 1e-160)):
+        with pytest.raises(ParameterError, match="non-finite Fresnel phase"):
+            FresnelParams(*triple)
+    # the keys this suite and the shipped file use still construct,
+    # REFERENCE and DESK above at import
+    FresnelParams(632.8e-9, 1.0, 0.3e-6)
+    load_key(default_key_path())
+
+
+def test_inverse_is_conjugate_for_real_input():
+    # the transfer factor is even in frequency, so for real x
+    # propagate_inverse(x) = conj(propagate(x)); embed rests on this
+    for side in (2, 3, 7, 48, 100, 256):
+        x = np.random.default_rng(side).standard_normal((side, side))
+        for p in (DESK, REFERENCE):
+            error = np.linalg.norm(propagate_inverse(x, p) - np.conj(propagate(x, p)))
+            assert error <= 1e-12 * np.linalg.norm(x), (side, p)
 
 
 def test_zero_distance_is_exact_identity():

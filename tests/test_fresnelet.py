@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fresnelstego import (ComplexQuad, FresnelParams, cc, dwt2,
+from fresnelstego import (FresnelParams, QuadBands, cc, dwt2,
                           fresnelet_analyze, fresnelet_synthesize, magnitude)
 from synth import textured_image
 
@@ -42,7 +42,7 @@ def test_zero_distance_degenerates_to_dwt2():
 
 def test_zero_quad_synthesizes_to_zero_field():
     zeros = np.zeros((16, 16), dtype=complex)
-    field = fresnelet_synthesize(ComplexQuad(zeros, zeros, zeros, zeros), REFERENCE)
+    field = fresnelet_synthesize(QuadBands(zeros, zeros, zeros, zeros), REFERENCE)
     assert np.all(field == 0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fresnelstego import (ArnoldSpec, FresnelParams, ParameterError,
+from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey,
                           UndefinedCorrelationError, cc, compare, dct2, dwt2,
                           embed, extract, fresnelet_analyze,
@@ -70,6 +70,15 @@ def test_zero_strength_extract_rejected():
     key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=12, strength=0.0)
     with pytest.raises(ParameterError):
         extract(host, host, key)
+
+
+def test_overflowing_extract_raises_not_inf():
+    # a subnormal strength makes (embedded - host) / s overflow; that is a
+    # DataError, not a grid of inf samples
+    host, _ = small_pair()
+    key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=12, strength=1e-310)
+    with np.errstate(over="ignore"), pytest.raises(DataError):
+        extract(host + 1.0, host, key)
 
 
 def test_float_round_trip_small():
