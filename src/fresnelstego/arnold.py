@@ -8,6 +8,7 @@ Each direction is one gather through source_index, the flat position
 each output pixel reads: scramble reads through D**-n, a power of the
 adjugate [[2, -1], [-1, 1]] (det D = 1), and unscramble through D**n.
 Nothing is scattered; zero steps gather a fresh, exact copy.
+source_index keeps its last index, read-only: 8 * n**2 / row_step bytes.
 """
 from __future__ import annotations
 
@@ -78,6 +79,7 @@ class ArnoldSpec:
         object.__setattr__(self, "iterations", n % period(self.size))
 
 
+@lru_cache(maxsize=1)
 def source_index(spec: ArnoldSpec, inverse: bool = False, row_step: int = 1) -> np.ndarray:
     """Flat source of each pixel in every row_step-th output row of
     scramble (of unscramble when inverse): scramble(g, spec)[::row_step]
@@ -88,7 +90,9 @@ def source_index(spec: ArnoldSpec, inverse: bool = False, row_step: int = 1) -> 
     rows, cols = np.arange(0, n, row_step)[:, None], np.arange(n)
     # a row term plus a column term, each reduced mod n, is below 2n: wrap reduces it
     wrap = np.arange(2 * n) % n
-    return (wrap * n)[a * rows % n + b * cols % n] + wrap[c * rows % n + d * cols % n]
+    idx = (wrap * n)[a * rows % n + b * cols % n] + wrap[c * rows % n + d * cols % n]
+    idx.flags.writeable = False
+    return idx
 
 
 def _gather(img, spec: ArnoldSpec, inverse: bool) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage problems, 2 unreadable or malformed input
-data (file format, shape, non-finite samples, undefined correlation, OS
-errors), 3 invalid key material or parameters.
+data (file format, shape, non-finite samples or statistics, undefined
+correlation, OS errors), 3 invalid key material or parameters.
 
 Outputs are deterministic: the same inputs and flags produce byte-identical
 files and stdout on every run.

@@ -14,11 +14,13 @@ fftfreq negates bins exactly (nu[N - k] == -nu[k]), so the factor is a
 bit-exact mirror of its (N//2 + 1)-square quadrant, the only part
 exponentiated; it scales a scipy.fft spectrum in place. Any square side
 works, odd ones included: the orthonormal DFT is unitary at every size.
+The last quadrant built is kept, read-only: 16 * (N//2 + 1)**2 bytes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -57,27 +59,35 @@ class FresnelParams:
                 f"wavelength, distance and pitch give a non-finite Fresnel phase ({phase})")
 
 
-def _filter(field, params: FresnelParams, sign: float) -> ComplexGrid:
+@lru_cache(maxsize=1)
+def _quadrant(side: int, params: FresnelParams) -> np.ndarray:
+    nu = np.fft.fftfreq(side, d=params.pitch)[:side // 2 + 1]
+    phase = np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
+    q = np.exp(-1j * phase)
+    q.flags.writeable = False
+    return q
+
+
+def _filter(field, params: FresnelParams, inverse: bool) -> ComplexGrid:
     f = checked_square(as_field(field), "field", 1)
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
         return f.copy()
     side = f.shape[0]
-    nu = np.fft.fftfreq(side, d=params.pitch)[:side // 2 + 1]
-    phase = np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-    # bin i carries the factor of bin min(i, side - i), exactly
+    q = _quadrant(side, params)
+    # bin i takes the factor of bin min(i, side - i); conj(q) is exp(i * phase), exactly
     k = np.minimum(np.arange(side), side - np.arange(side))
     spectrum = scipy.fft.fft2(f, norm="ortho")
-    spectrum *= np.exp(sign * 1j * phase)[k][:, k]
+    spectrum *= (np.conj(q) if inverse else q)[k][:, k]
     return scipy.fft.ifft2(spectrum, norm="ortho", overwrite_x=True)
 
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:
     """Forward Fresnel transform of a square field of any side."""
-    return _filter(field, params, -1.0)
+    return _filter(field, params, False)
 
 
 def propagate_inverse(field, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of propagate: the conjugate transfer factor."""
-    return _filter(field, params, 1.0)
+    return _filter(field, params, True)

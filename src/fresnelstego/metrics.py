@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, UndefinedCorrelationError
+from .errors import DataError, ParameterError, ShapeError, UndefinedCorrelationError
 from .numerics import as_image, checked_real
 
 PEAK = 255.0
@@ -130,6 +130,8 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
 
 
 def _report(m, moments, count) -> MetricsReport:
+    if not np.isfinite((m, *moments)).all():
+        raise DataError(f"samples too large to score: mse {m}, moments {moments}")
     terms = _ssim_terms(moments, count, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
     return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)

@@ -54,9 +54,7 @@ def as_field(samples) -> ComplexGrid:
 
 def as_grid(samples) -> np.ndarray:
     """Like as_image / as_field, keeping the input's real or complex kind."""
-    if np.iscomplexobj(np.asarray(samples)):
-        return as_field(samples)
-    return as_image(samples)
+    return as_field(samples) if np.iscomplexobj(samples) else as_image(samples)
 
 
 def checked_count(name: str, value, minimum: int) -> int:

@@ -192,3 +192,14 @@ def test_source_index_equals_plain_modular_formula(side):
                 plain = (a * r + b * col) % side * side + (c * r + d * col) % side
                 got = source_index(ArnoldSpec(side, steps), inverse, row_step)
                 assert np.array_equal(got, plain), (steps, inverse, row_step)
+
+
+def test_source_index_is_shared_and_read_only():
+    # calls under one key share one cached index, so a caller's write into it
+    # would corrupt every later scramble and embed
+    spec = ArnoldSpec(16, 5)
+    idx = source_index(spec, row_step=2)
+    assert source_index(spec, row_step=2) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    assert np.array_equal(scramble(index_grid(16), spec)[::2], index_grid(16).ravel()[idx])

@@ -167,6 +167,21 @@ def test_data_errors_exit_two(workspace, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_overflowing_data_exits_two(workspace, capsys):
+    # the key is sound; the samples overflow the report, which is a data error
+    write_float_image(textured_image(16, 5), workspace / "h16.fimg")
+    write_float_image(np.full((8, 8), 1e300), workspace / "huge.fimg")
+    write_float_image(np.full((8, 8), -1e300), workspace / "neg_huge.fimg")
+    with np.errstate(over="ignore"):
+        for mode in ("float", "u8"):
+            assert run("embed", "--host", workspace / "h16.fimg",
+                       "--secret", workspace / "huge.fimg", "--key", workspace / "default.key",
+                       "--out", workspace / "o.fimg", "--mode", mode) == 2
+        assert run("metrics", "--a", workspace / "huge.fimg",
+                   "--b", workspace / "neg_huge.fimg") == 2
+    assert "too large to score" in capsys.readouterr().err
+
+
 def test_key_errors_exit_three(workspace, capsys):
     short = workspace / "short.key"
     short.write_text("wavelength_nm = 632.8\n")

@@ -49,6 +49,16 @@ def test_psnr_rejects_negative_mse():
             psnr_from_mse(bad)
 
 
+def test_overflowing_pair_is_a_data_error():
+    # finite samples whose squares overflow are a fault in the data; the
+    # ParameterError of psnr_from_mse is for a caller's bad scalar
+    big = 1e300 * textured_image(16, 6) / 255.0
+    with np.errstate(over="ignore"):
+        for a, b in ((big, -big), (np.full((8, 8), 1e300), np.full((8, 8), -1e300))):
+            with pytest.raises(DataError):
+                compare(a, b)
+
+
 def test_cc_trivials():
     a = textured_image(32, 5)
     assert cc(a, a) == pytest.approx(1.0, abs=1e-12)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey,
                           UndefinedCorrelationError, cc, compare, dct2, dwt2,
-                          embed, extract, fresnelet_analyze,
-                          fresnelet_synthesize, idct2, idwt2, mse, period,
-                          psnr, quantize_u8, scramble, unscramble)
+                          embed, extract, fft2, fresnelet_analyze,
+                          fresnelet_synthesize, idct2, idwt2, ifft2, mse,
+                          period, propagate, psnr, quantize_u8, scramble,
+                          unscramble)
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -203,6 +204,32 @@ def test_wrong_distance_frozen_sensitivity():
             strength=REFERENCE_KEY.strength)
         value = cc(extract(result.embedded, host, wrong), secret)
         assert value == pytest.approx(frozen, abs=1e-6)
+
+
+def test_key_order_cannot_leak_an_earlier_key():
+    # source_index and the Fresnel factor keep the last key's arrays; a cache
+    # keyed on too little would make a wrong key recover, or the right one fail
+    host, secret = small_pair()
+    key = REFERENCE_KEY
+    embedded = embed(host, secret, key).embedded
+    wrong_steps = StegoKey(key.fresnel, key.arnold_iterations + 1, key.strength)
+    wrong_distance = StegoKey(
+        FresnelParams(REFERENCE_PARAMS.wavelength, REFERENCE_PARAMS.distance * 1.1,
+                      REFERENCE_PARAMS.pitch), key.arnold_iterations, key.strength)
+    for wrong in (wrong_steps, wrong_distance):
+        assert abs(cc(extract(embedded, host, wrong), secret)) <= 0.5
+    assert cc(extract(embedded, host, key), secret) >= 0.999
+    # the same FresnelParams at another side: a round trip alone would pass with
+    # another side's factor, so the factor itself is checked against its formula
+    small_host, small_secret = textured_image(64, 7), textured_image(32, 8, rolloff=6.0)
+    small = embed(small_host, small_secret, key).embedded
+    assert cc(extract(small, small_host, key), small_secret) >= 0.999
+    nu = np.fft.fftfreq(32, d=REFERENCE_PARAMS.pitch)
+    phase = (np.pi * REFERENCE_PARAMS.wavelength * REFERENCE_PARAMS.distance
+             * (nu[:, None] ** 2 + nu[None, :] ** 2))
+    expected = ifft2(fft2(small_secret) * np.exp(-1j * phase))
+    assert np.array_equal(propagate(small_secret, key.fresnel), expected)
+    assert cc(extract(embedded, host, key), secret) >= 0.999
 
 
 def test_shape_contracts():
