@@ -4,10 +4,10 @@ Pixels are 0-indexed. One forward step moves the pixel at (a, b) to
 ((a + b) mod N, (a + 2b) mod N), i.e. the matrix D = [[1, 1], [1, 2]]
 acting on coordinates mod N; (0, 0) never moves. n steps are D**n mod N
 computed exactly in Python integers, so cost does not grow with n.
-Each direction is one gather through source_index, the flat position
-each output pixel reads: scramble reads through D**-n, a power of the
-adjugate [[2, -1], [-1, 1]] (det D = 1), and unscramble through D**n.
-Nothing is scattered; zero steps gather a fresh, exact copy.
+scramble is one gather through source_index, the flat position each
+output pixel reads, which is D**-n. The map is periodic with period T,
+so D**-n = D**(T - n) and unscramble is scramble by the complementary
+count T - n. Nothing is scattered; zero steps gather a fresh, exact copy.
 source_index keeps its last index, read-only: 8 * n**2 / row_step bytes.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import ShapeError
 from .numerics import as_grid, checked_count
 
 _FORWARD = ((1, 1), (1, 2))
-_INVERSE = ((2, -1), (-1, 1))
 
 
 def _mat_mul(a, b, mod):
@@ -36,7 +35,6 @@ def _mat_mul(a, b, mod):
 def _mat_pow(m, k, mod):
     # exact square-and-multiply on 2x2 integer matrices
     result = ((1, 0), (0, 1))
-    m = tuple(tuple(v % mod for v in row) for row in m)
     while k:
         if k & 1:
             result = _mat_mul(result, m, mod)
@@ -80,12 +78,12 @@ class ArnoldSpec:
 
 
 @lru_cache(maxsize=1)
-def source_index(spec: ArnoldSpec, inverse: bool = False, row_step: int = 1) -> np.ndarray:
+def source_index(spec: ArnoldSpec, row_step: int = 1) -> np.ndarray:
     """Flat source of each pixel in every row_step-th output row of
-    scramble (of unscramble when inverse): scramble(g, spec)[::row_step]
-    is g.ravel()[source_index(spec, row_step=row_step)]."""
+    scramble: scramble(g, spec)[::row_step] is
+    g.ravel()[source_index(spec, row_step)]."""
     n = spec.size
-    (a, b), (c, d) = _mat_pow(_FORWARD if inverse else _INVERSE, spec.iterations, n)
+    (a, b), (c, d) = _mat_pow(_FORWARD, -spec.iterations % period(n), n)
     # native intp indices: numpy gathers and scatters through int32 ones more slowly
     rows, cols = np.arange(0, n, row_step)[:, None], np.arange(n)
     # a row term plus a column term, each reduced mod n, is below 2n: wrap reduces it
@@ -95,20 +93,16 @@ def source_index(spec: ArnoldSpec, inverse: bool = False, row_step: int = 1) -> 
     return idx
 
 
-def _gather(img, spec: ArnoldSpec, inverse: bool) -> np.ndarray:
+def scramble(img, spec: ArnoldSpec) -> np.ndarray:
+    """Apply spec.iterations forward steps. Pure permutation: every sample
+    value survives bit-for-bit, only positions change."""
     g = as_grid(img)
     n = spec.size
     if g.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} grid, got {g.shape[0]}x{g.shape[1]}")
-    return g.ravel()[source_index(spec, inverse)]
-
-
-def scramble(img, spec: ArnoldSpec) -> np.ndarray:
-    """Apply spec.iterations forward steps. Pure permutation: every sample
-    value survives bit-for-bit, only positions change."""
-    return _gather(img, spec, False)
+    return g.ravel()[source_index(spec)]
 
 
 def unscramble(img, spec: ArnoldSpec) -> np.ndarray:
     """Exact inverse of scramble with the same spec."""
-    return _gather(img, spec, True)
+    return scramble(img, ArnoldSpec(spec.size, period(spec.size) - spec.iterations))

@@ -35,4 +35,4 @@ class FormatError(StegoError):
 
 
 class UndefinedCorrelationError(StegoError):
-    """Correlation came out 0/0 because an input has zero variance."""
+    """A score came out 0/0, as correlation does when an input is constant."""

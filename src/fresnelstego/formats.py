@@ -58,36 +58,40 @@ def _next_token(data: bytes, pos: int):
     return data[start:pos], start, pos
 
 
+def _positive(name: str, token: bytes, offset: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise FormatError(f"{name} is not an integer: {token!r}", offset=offset) from None
+    if value <= 0:
+        raise FormatError(f"{name} must be positive, got {value}", offset=offset)
+    return value
+
+
+def _payload(data: bytes, at: int, rows: int, cols: int, dtype) -> np.ndarray:
+    """The rows x cols grid of dtype samples that fills data from at to its end."""
+    need = rows * cols * np.dtype(dtype).itemsize
+    have = len(data) - at
+    if have != need:
+        raise FormatError(
+            f"payload is {have} bytes, expected {need}", offset=at + min(have, need))
+    return np.frombuffer(data, dtype=dtype, count=rows * cols, offset=at).reshape(rows, cols)
+
+
 def _decode_pgm(data: bytes) -> ImageGrid:
     if not data.startswith(b"P5"):
         raise FormatError("not a binary PGM, magic P5 missing", offset=0)
     pos = 2
-    fields = []
+    values = []
     for name in ("width", "height", "maxval"):
         token, start, pos = _next_token(data, pos)
-        try:
-            value = int(token)
-        except ValueError:
-            raise FormatError(f"{name} is not an integer: {token!r}", offset=start) from None
-        if value <= 0:
-            raise FormatError(f"{name} must be positive, got {value}", offset=start)
-        fields.append((value, start))
-    (width, _), (height, _), (maxval, maxval_at) = fields
+        values.append(_positive(name, token, start))
+    width, height, maxval = values
     if maxval != 255:
-        raise FormatError(f"maxval must be 255, got {maxval}", offset=maxval_at)
+        raise FormatError(f"maxval must be 255, got {maxval}", offset=start)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise FormatError("expected one whitespace byte after maxval", offset=pos)
-    pos += 1
-    need = width * height
-    have = len(data) - pos
-    if have < need:
-        raise FormatError(
-            f"payload truncated: need {need} bytes, have {have}", offset=len(data))
-    if have > need:
-        raise FormatError(
-            f"{have - need} unexpected bytes after payload", offset=pos + need)
-    grid = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return grid.reshape(height, width).astype(np.float64)
+    return _payload(data, pos + 1, height, width, np.uint8).astype(np.float64)
 
 
 def read_pgm(path) -> ImageGrid:
@@ -115,25 +119,8 @@ def _decode_float_image(data: bytes) -> ImageGrid:
     parts = data[pos:newline].split()
     if len(parts) != 2:
         raise FormatError("dimensions line must hold exactly two integers", offset=pos)
-    dims = []
-    for part in parts:
-        try:
-            value = int(part)
-        except ValueError:
-            raise FormatError(f"dimension is not an integer: {part!r}", offset=pos) from None
-        if value <= 0:
-            raise FormatError(f"dimensions must be positive, got {value}", offset=pos)
-        dims.append(value)
-    rows, cols = dims
-    payload_at = newline + 1
-    need = rows * cols * 8
-    have = len(data) - payload_at
-    if have != need:
-        raise FormatError(
-            f"payload is {have} bytes, expected {need}",
-            offset=payload_at + min(have, need))
-    grid = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=payload_at)
-    return as_image(grid.reshape(rows, cols).copy())
+    rows, cols = (_positive(name, part, pos) for name, part in zip(("rows", "cols"), parts))
+    return as_image(_payload(data, newline + 1, rows, cols, "<f8").copy())
 
 
 def read_float_image(path) -> ImageGrid:
@@ -199,29 +186,23 @@ def parse_key_text(text: str) -> StegoKey:
     if missing:
         raise KeyFileError("missing keys: " + ", ".join(missing))
 
-    def as_number(name):
+    def value_of(name, kind=float):
         line_number, value = found[name]
         try:
-            return float(value)
+            return kind(value)
         except ValueError:
+            what = "an integer" if kind is int else "a number"
             raise KeyFileError(
-                f"line {line_number}: {name} must be a number, got {value!r}") from None
+                f"line {line_number}: {name} must be {what}, got {value!r}") from None
 
-    line_number, value = found["arnold_iterations"]
-    try:
-        iterations = int(value)
-    except ValueError:
-        raise KeyFileError(
-            f"line {line_number}: arnold_iterations must be an integer, "
-            f"got {value!r}") from None
-
+    iterations = value_of("arnold_iterations", int)
     params = FresnelParams(
-        wavelength=as_number("wavelength_nm") * 1e-9,
-        distance=as_number("distance_cm") * 1e-2,
-        pitch=as_number("pitch_nm") * 1e-9,
+        wavelength=value_of("wavelength_nm") * 1e-9,
+        distance=value_of("distance_cm") * 1e-2,
+        pitch=value_of("pitch_nm") * 1e-9,
     )
     return StegoKey(fresnel=params, arnold_iterations=iterations,
-                    strength=as_number("strength"))
+                    strength=value_of("strength"))
 
 
 def load_key(path) -> StegoKey:

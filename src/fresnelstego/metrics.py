@@ -61,18 +61,27 @@ def _moments(ga, gb):
     return mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)), float(np.sum(da * db))
 
 
+def _finite(*values) -> None:
+    # finite samples whose squares or products overflow are a fault in the data
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"samples too large to score: got {values}")
+
+
 def _mse(ga, gb, out=None) -> float:
     d = np.subtract(ga, gb, out=out)
-    return float(np.mean(np.multiply(d, d, out=d)))
+    m = float(np.mean(np.multiply(d, d, out=d)))
+    _finite(m)
+    return m
 
 
 def _correlation(moments) -> float:
     _, _, saa, sbb, sab = moments
-    denominator = math.sqrt(saa * sbb)
-    if denominator == 0.0:
+    product = saa * sbb
+    _finite(product)
+    if product == 0.0:
         raise UndefinedCorrelationError(
             "correlation is undefined when an input has zero variance")
-    return sab / denominator
+    return sab / math.sqrt(product)
 
 
 def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
@@ -81,9 +90,13 @@ def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
     # identical inputs score exactly 1: sqrt(v * v) == v, unlike sqrt(v)**2
     sigma_ab = math.sqrt(var_a * var_b)
     c3 = c2 / 2.0
-    luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
-    contrast = (2.0 * sigma_ab + c2) / (var_a + var_b + c2)
-    structure = (cov + c3) / (sigma_ab + c3)
+    try:
+        luminance = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1)
+        contrast = (2.0 * sigma_ab + c2) / (var_a + var_b + c2)
+        structure = (cov + c3) / (sigma_ab + c3)
+    except ZeroDivisionError:
+        raise UndefinedCorrelationError("an SSIM term is 0/0 under zero constants") from None
+    _finite(luminance, contrast, structure)
     return SsimBreakdown(luminance * contrast * structure, luminance, contrast, structure)
 
 
@@ -123,15 +136,17 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
         contrast  = (2*sigma_a*sigma_b + c2) / (sigma_a**2 + sigma_b**2 + c2)
         structure = (cov + c3) / (sigma_a*sigma_b + c3), with c3 = c2 / 2
 
-    so identical inputs score 1.
+    so identical inputs score 1. c1 and c2 are finite and non-negative;
+    a term left 0/0 by zero constants raises UndefinedCorrelationError.
     """
+    c1, c2 = checked_real("c1", c1), checked_real("c2", c2)
+    if min(c1, c2) < 0.0:
+        raise ParameterError(f"c1 and c2 must be non-negative, got {c1} and {c2}")
     ga, gb = _pair(a, b)
     return _ssim_terms(_moments(ga, gb), ga.size, c1, c2)
 
 
 def _report(m, moments, count) -> MetricsReport:
-    if not np.isfinite((m, *moments)).all():
-        raise DataError(f"samples too large to score: mse {m}, moments {moments}")
     terms = _ssim_terms(moments, count, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
     return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)

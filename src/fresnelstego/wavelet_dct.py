@@ -35,6 +35,13 @@ class QuadBands(NamedTuple):
     hh: np.ndarray
 
 
+def _butterfly(a, b, c, d):
+    return ((a + b + c + d) / 2,
+            (a + b - c - d) / 2,
+            (a - b + c - d) / 2,
+            (a - b - c + d) / 2)
+
+
 def dwt2(img) -> QuadBands:
     """One level of orthonormal 2-D Haar analysis of a real or complex
     grid with even dimensions."""
@@ -42,16 +49,7 @@ def dwt2(img) -> QuadBands:
     r, c = g.shape
     if r % 2 or c % 2:
         raise ShapeError(f"dimensions must be even, got {r}x{c}")
-    a = g[0::2, 0::2]
-    b = g[0::2, 1::2]
-    c_ = g[1::2, 0::2]
-    d = g[1::2, 1::2]
-    return QuadBands(
-        (a + b + c_ + d) / 2,
-        (a + b - c_ - d) / 2,
-        (a - b + c_ - d) / 2,
-        (a - b - c_ + d) / 2,
-    )
+    return QuadBands(*_butterfly(g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2]))
 
 
 def idwt2(bands) -> np.ndarray:
@@ -64,10 +62,8 @@ def idwt2(bands) -> np.ndarray:
             f"{ll.shape}, {lh.shape}, {hl.shape}, {hh.shape}")
     r, c = ll.shape
     out = np.empty((2 * r, 2 * c), dtype=np.result_type(ll, lh, hl, hh))
-    out[0::2, 0::2] = (ll + lh + hl + hh) / 2
-    out[0::2, 1::2] = (ll + lh - hl - hh) / 2
-    out[1::2, 0::2] = (ll - lh + hl - hh) / 2
-    out[1::2, 1::2] = (ll - lh - hl + hh) / 2
+    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = _butterfly(
+        ll, lh, hl, hh)
     return out
 
 

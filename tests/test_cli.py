@@ -172,6 +172,8 @@ def test_overflowing_data_exits_two(workspace, capsys):
     write_float_image(textured_image(16, 5), workspace / "h16.fimg")
     write_float_image(np.full((8, 8), 1e300), workspace / "huge.fimg")
     write_float_image(np.full((8, 8), -1e300), workspace / "neg_huge.fimg")
+    # finite moments whose products overflow
+    write_float_image(1e80 * textured_image(16, 6), workspace / "scaled.fimg")
     with np.errstate(over="ignore"):
         for mode in ("float", "u8"):
             assert run("embed", "--host", workspace / "h16.fimg",
@@ -179,6 +181,8 @@ def test_overflowing_data_exits_two(workspace, capsys):
                        "--out", workspace / "o.fimg", "--mode", mode) == 2
         assert run("metrics", "--a", workspace / "huge.fimg",
                    "--b", workspace / "neg_huge.fimg") == 2
+        assert run("metrics", "--a", workspace / "scaled.fimg",
+                   "--b", workspace / "scaled.fimg") == 2
     assert "too large to score" in capsys.readouterr().err
 
 

@@ -100,6 +100,19 @@ def test_pgm_rejects_bad_header_fields(tmp_path):
             read_pgm(path)
 
 
+def test_pgm_rejects_header_without_maxval_or_separator(tmp_path):
+    # the header may end before its last field, or with the payload's
+    # separating whitespace byte missing
+    for data, offset, message in ((b"P5 2 2", 6, "header ended early"),
+                                  (b"P5 2 2 255", 10, "one whitespace byte after maxval")):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read_pgm(path)
+        assert err.value.offset == offset
+        assert message in str(err.value)
+
+
 def test_pgm_write_quantizes(tmp_path):
     path = tmp_path / "q.pgm"
     write_pgm(np.array([[-5.0, 128.6], [300.0, 42.49]]), path)

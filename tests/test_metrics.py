@@ -57,6 +57,21 @@ def test_overflowing_pair_is_a_data_error():
         for a, b in ((big, -big), (np.full((8, 8), 1e300), np.full((8, 8), -1e300))):
             with pytest.raises(DataError):
                 compare(a, b)
+        # every moment is finite here, but saa * sbb and var_a * var_b overflow
+        huge = 1e80 * textured_image(16, 6)
+        for score in (compare, cc, ssim):
+            with pytest.raises(DataError):
+                score(huge, huge)
+        # the mse overflows, and so does the luminance term's mu_a * mu_b
+        flat = np.full((8, 8), 1e200)
+        for score in (mse, psnr, ssim):
+            with pytest.raises(DataError):
+                score(flat, -flat)
+
+
+def test_non_2d_pair_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        compare(np.zeros(4), np.zeros(4))
 
 
 def test_cc_trivials():
@@ -107,6 +122,18 @@ def test_ssim_identical_regardless_of_constants():
         assert result.luminance == pytest.approx(1.0, abs=1e-12)
         assert result.contrast == pytest.approx(1.0, abs=1e-12)
         assert result.structure == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ssim_constants_are_checked():
+    zeros = np.zeros((8, 8))
+    for bad in (math.nan, math.inf, -1.0, "x", None, True):
+        with pytest.raises(ParameterError):
+            ssim(zeros, zeros, c1=bad)
+        with pytest.raises(ParameterError):
+            ssim(zeros, zeros, c2=bad)
+    # zero constants leave the luminance of two zero-mean grids 0/0
+    with pytest.raises(UndefinedCorrelationError):
+        ssim(zeros, zeros, 0.0, 0.0)
 
 
 def test_ssim_luminance_at_constant_extremes():

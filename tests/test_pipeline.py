@@ -248,6 +248,11 @@ def test_shape_contracts():
         extract(host, textured_image(64, 3), DESK_KEY)
 
 
+def test_non_2d_host_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        embed(np.zeros((8, 8, 1)), np.zeros((4, 4)), DESK_KEY)
+
+
 def staged_embed(host, secret, key):
     """The paper's chain, stage by stage: scramble, Haar-split, add the
     Fresnelet-coded secret onto band DCT coefficients, undo both."""
