@@ -18,8 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .arnold import ArnoldSpec, period, scramble, unscramble
-from .errors import (DataError, FormatError, ParameterError, ShapeError,
-                     UndefinedCorrelationError)
+from .errors import ParameterError, StegoError
 from .formats import (load_key, quantize_u8, read_image, write_float_image,
                       write_image, write_pgm)
 from .metrics import MetricsReport, compare
@@ -55,43 +54,43 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--out", required=True, help="output path")
     cmd.add_argument("--mode", choices=("float", "u8"), default="float",
                      help="float writes the lossless container; u8 quantizes to PGM")
+    cmd.set_defaults(run=_cmd_embed)
 
     cmd = commands.add_parser("extract", help="recover the hidden image")
     cmd.add_argument("--embedded", required=True, help="image produced by embed")
     cmd.add_argument("--host", required=True, help="the original cover image")
     cmd.add_argument("--key", required=True, help="the key used at embed time")
     cmd.add_argument("--out", required=True, help="output path (.pgm quantizes)")
+    cmd.set_defaults(run=_cmd_extract)
 
     cmd = commands.add_parser("metrics", help="compare two images")
     cmd.add_argument("--a", required=True)
     cmd.add_argument("--b", required=True)
     cmd.add_argument("--json", action="store_true", help="one JSON object instead of lines")
+    cmd.set_defaults(run=_cmd_metrics)
 
     cmd = commands.add_parser("arnold", help="scrambling utilities")
     arnold_commands = cmd.add_subparsers(dest="arnold_command", required=True)
-    for name in ("scramble", "unscramble"):
+    for name, op in (("scramble", scramble), ("unscramble", unscramble)):
         sub = arnold_commands.add_parser(name, help=f"{name} a square image")
         sub.add_argument("--in", dest="in_path", required=True)
         sub.add_argument("--n", type=int, required=True, help="step count")
         sub.add_argument("--out", required=True)
+        sub.set_defaults(run=_cmd_permute, op=op)
     sub = arnold_commands.add_parser("period", help="print the cycle length for a grid side")
     sub.add_argument("--size", type=int, required=True)
+    sub.set_defaults(run=_cmd_period)
 
     cmd = commands.add_parser("histogram", help="print 256 'bin count' lines")
     cmd.add_argument("--in", dest="in_path", required=True)
+    cmd.set_defaults(run=_cmd_histogram)
 
     return parser
 
 
-def _format_value(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))
-
-
 def _print_report(report: MetricsReport) -> None:
     for name, value in asdict(report).items():
-        print(f"{name} = {_format_value(value)}")
+        print(f"{name} = {float(value)!r}")
 
 
 def _cmd_embed(args) -> int:
@@ -100,10 +99,8 @@ def _cmd_embed(args) -> int:
     key = load_key(args.key)
     result = embed(host, secret, key)
     if args.mode == "u8":
-        delivered = quantize_u8(result.embedded)
-        write_pgm(delivered, args.out)
         # report what the written file actually holds
-        report = compare(host, delivered)
+        report = compare(host, write_pgm(result.embedded, args.out))
     else:
         write_float_image(result.embedded, args.out)
         report = result.report
@@ -130,14 +127,15 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _cmd_arnold(args) -> int:
-    if args.arnold_command == "period":
-        print(period(args.size))
-        return EXIT_OK
+def _cmd_period(args) -> int:
+    print(period(args.size))
+    return EXIT_OK
+
+
+def _cmd_permute(args) -> int:
     img = read_image(args.in_path)
     spec = ArnoldSpec(size=img.shape[0], iterations=args.n)
-    op = scramble if args.arnold_command == "scramble" else unscramble
-    write_image(op(img, spec), args.out)
+    write_image(args.op(img, spec), args.out)
     return EXIT_OK
 
 
@@ -149,32 +147,23 @@ def _cmd_histogram(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "embed": _cmd_embed,
-    "extract": _cmd_extract,
-    "metrics": _cmd_metrics,
-    "arnold": _cmd_arnold,
-    "histogram": _cmd_histogram,
-}
-
-
 def cli_main(argv=None) -> int:
     """Run one command and return its exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
-    except (FormatError, ShapeError, DataError, UndefinedCorrelationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ParameterError as exc:
+        return args.run(args)
+    except ParameterError as exc:  # KeyFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_KEY
+    except (StegoError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main() -> None:
     sys.exit(cli_main())
+

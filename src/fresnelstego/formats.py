@@ -11,9 +11,9 @@ The float container layout is:
     <rows> <cols>\\n
     <rows * cols * 8 bytes of little-endian float64, row-major>
 
-The PGM reader is strict: magic P5, maxval 255, single whitespace byte
-before the payload, payload length exactly width * height, nothing after.
-Decode errors carry the byte offset of the violation.
+The PGM reader is strict: magic P5, ASCII-digit header integers, maxval
+255, one whitespace byte before the payload, payload exactly width * height
+bytes, nothing after. Decode errors carry the byte offset of the violation.
 """
 from __future__ import annotations
 
@@ -59,10 +59,10 @@ def _next_token(data: bytes, pos: int):
 
 
 def _positive(name: str, token: bytes, offset: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise FormatError(f"{name} is not an integer: {token!r}", offset=offset) from None
+    # bytes.isdigit is ASCII-only; int() alone would also take a sign or '_'
+    if not token.isdigit():
+        raise FormatError(f"{name} is not an integer: {token!r}", offset=offset)
+    value = int(token)
     if value <= 0:
         raise FormatError(f"{name} must be positive, got {value}", offset=offset)
     return value
@@ -99,13 +99,14 @@ def read_pgm(path) -> ImageGrid:
     return _decode_pgm(Path(path).read_bytes())
 
 
-def write_pgm(img, path) -> None:
-    """Write as binary PGM, quantizing through quantize_u8 first."""
+def write_pgm(img, path) -> ImageGrid:
+    """Write as binary PGM through quantize_u8; return the grid written."""
     g = quantize_u8(img)
     height, width = g.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))
         fh.write(g.astype(np.uint8).tobytes())
+    return g
 
 
 def _decode_float_image(data: bytes) -> ImageGrid:
@@ -163,6 +164,8 @@ def parse_key_text(text: str) -> StegoKey:
     five names are required, none may repeat, unknown names are rejected:
 
         wavelength_nm, pitch_nm, distance_cm, arnold_iterations, strength
+
+    Numbers are ASCII without '_'; arnold_iterations is digits only.
     """
     found = {}
     for line_number, raw in enumerate(text.splitlines(), 1):
@@ -188,12 +191,15 @@ def parse_key_text(text: str) -> StegoKey:
 
     def value_of(name, kind=float):
         line_number, value = found[name]
+        what = "a non-negative integer" if kind is int else "a number"
+        bad = KeyFileError(f"line {line_number}: {name} must be {what}, got {value!r}")
+        # int() and float() also take '_' separators and non-ASCII digits
+        if not value.isascii() or "_" in value or (kind is int and not value.isdigit()):
+            raise bad
         try:
             return kind(value)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise KeyFileError(
-                f"line {line_number}: {name} must be {what}, got {value!r}") from None
+            raise bad from None
 
     iterations = value_of("arnold_iterations", int)
     params = FresnelParams(

@@ -93,11 +93,16 @@ def test_pgm_rejects_trailing_bytes(tmp_path):
 
 
 def test_pgm_rejects_bad_header_fields(tmp_path):
-    for header in (b"P5\nab 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 -2\n255\n", b"P5\n2 2\n"):
+    # header integers are ASCII digits: no sign and no '_' separator
+    for header, offset in ((b"P5\nab 2\n255\n", 3), (b"P5\n0 2\n255\n", 3),
+                           (b"P5\n2 -2\n255\n", 5), (b"P5\n2 2\n", 7),
+                           (b"P5 1_0 1 255\n", 3), (b"P5 10 +1 255\n", 6),
+                           (b"P5 10 1 2_55\n", 8)):
         path = tmp_path / "h.pgm"
-        path.write_bytes(header + bytes(4))
-        with pytest.raises(FormatError):
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(FormatError) as err:
             read_pgm(path)
+        assert err.value.offset == offset
 
 
 def test_pgm_rejects_header_without_maxval_or_separator(tmp_path):
@@ -115,8 +120,12 @@ def test_pgm_rejects_header_without_maxval_or_separator(tmp_path):
 
 def test_pgm_write_quantizes(tmp_path):
     path = tmp_path / "q.pgm"
-    write_pgm(np.array([[-5.0, 128.6], [300.0, 42.49]]), path)
+    img = np.array([[-5.0, 128.6], [300.0, 42.49]])
+    written = write_pgm(img, path)
     assert np.array_equal(read_pgm(path), [[0.0, 129.0], [255.0, 42.0]])
+    # the returned grid is what the file holds
+    assert np.array_equal(written, quantize_u8(img))
+    assert np.array_equal(written, read_pgm(path))
 
 
 def test_float_image_round_trip_bit_exact(tmp_path):
@@ -142,11 +151,13 @@ def test_float_image_rejects_bad_magic(tmp_path):
 
 
 def test_float_image_rejects_bad_dimensions(tmp_path):
-    for dims in (b"4\n", b"2 2 2\n", b"a 2\n", b"0 2\n", b"-1 2\n"):
+    # each is caught on the dimensions line, not later at the payload
+    for dims in (b"4\n", b"2 2 2\n", b"a 2\n", b"0 2\n", b"-1 2\n", b"+1 1\n", b"1 0_1\n"):
         path = tmp_path / "d.fimg"
         path.write_bytes(b"FIMG\n" + dims + bytes(32))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             read_float_image(path)
+        assert err.value.offset == 5
     path = tmp_path / "nodims.fimg"
     path.write_bytes(b"FIMG\n2 2")
     with pytest.raises(FormatError):
@@ -229,16 +240,19 @@ def test_key_rejects_missing_and_unknown_names():
 
 
 def test_key_rejects_malformed_lines():
-    with pytest.raises(KeyFileError):
-        parse_key_text("wavelength_nm 632.8\n")
-    with pytest.raises(KeyFileError):
-        parse_key_text("strength =\n")
-    with pytest.raises(KeyFileError):
-        parse_key_text(VALID_KEY_TEXT.replace("= 12", "= twelve"))
-    with pytest.raises(KeyFileError):
-        parse_key_text(VALID_KEY_TEXT.replace("= 12", "= 12.5"))
-    with pytest.raises(KeyFileError):
-        parse_key_text(VALID_KEY_TEXT.replace("632.8", "not-a-number"))
+    # numbers are ASCII without '_'; the step count is digits only
+    forms = [("wavelength_nm 632.8\n", 1), ("strength =\n", 1)]
+    for old, new, line in (("= 12", "= twelve", 6), ("= 12", "= 12.5", 6),
+                           ("632.8", "not-a-number", 2), ("= 12", "= 1_2", 6),
+                           ("= 12", "= +12", 6),
+                           ("= 12", "= \u0661\u0662", 6),  # Arabic-Indic digits
+                           ("= 0.08", "= 0_0.08", 7),
+                           ("632.8", "\u0666\u0663\u0662.8", 2)):
+        forms.append((VALID_KEY_TEXT.replace(old, new), line))
+    for text, line in forms:
+        with pytest.raises(KeyFileError) as err:
+            parse_key_text(text)
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 def test_key_invalid_physical_values_rejected():
