@@ -8,7 +8,17 @@ scramble is one gather through source_index, the flat position each
 output pixel reads, which is D**-n. The map is periodic with period T,
 so D**-n = D**(T - n) and unscramble is scramble by the complementary
 count T - n. Nothing is scattered; zero steps gather a fresh, exact copy.
-source_index keeps its last index, read-only: 8 * n**2 / row_step bytes.
+source_index keeps its last index, read-only: 8 * n**2 bytes.
+
+Parity rule. Mod 2, D is [[1, 1], [1, 0]], of order 3: it cycles the
+parity classes (1, 0) -> (1, 1) -> (0, 1) -> (1, 0) and fixes (0, 0). So
+at an even side T is a multiple of 3, and the pixels that unscramble
+brings from the even rows form one of three fixed lattices chosen by
+n mod 3: the even rows {a even} when n = 0 (mod 3), the checkerboard
+{a + b even} when n = 1, the even columns {b even} when n = 2. Only the
+order within the lattice depends on n. _layout gives that lattice as a
+view of a grid and the order as one permutation, and keeps its last
+pair: 4 * n**2 bytes.
 """
 from __future__ import annotations
 
@@ -77,20 +87,53 @@ class ArnoldSpec:
         object.__setattr__(self, "iterations", n % period(self.size))
 
 
-@lru_cache(maxsize=1)
-def source_index(spec: ArnoldSpec, row_step: int = 1) -> np.ndarray:
-    """Flat source of each pixel in every row_step-th output row of
-    scramble: scramble(g, spec)[::row_step] is
-    g.ravel()[source_index(spec, row_step)]."""
-    n = spec.size
-    (a, b), (c, d) = _mat_pow(_FORWARD, -spec.iterations % period(n), n)
+def _even_sums(g):
+    # rows 2i + j and columns j + 2k, i.e. a + b even, as one writable view
+    (r, c), half = g.strides, g.shape[0] // 2
+    return np.lib.stride_tricks.as_strided(g, (half, 2, half), (2 * r, r + c, 2 * c))
+
+
+# the lattice of pixels that n steps move onto even rows, by n mod 3
+_LATTICES = (lambda g: g[0::2], _even_sums, lambda g: g[:, 0::2])
+
+
+def _positions(m, n, lattice, row_step):
+    """Read-only flat position of m @ x mod n, in an n-column grid that keeps
+    every row_step-th row, for each pixel x = (a, b) of lattice(n x n grid)."""
+    (p, q), (r, s) = m
     # native intp indices: numpy gathers and scatters through int32 ones more slowly
-    rows, cols = np.arange(0, n, row_step)[:, None], np.arange(n)
+    x, shape = np.arange(n), (n, n)
+
+    def term(row_coef, col_coef):
+        # C order: numpy's default would lay the sum out by the operands' mixed
+        # checkerboard strides, and gathering through that is several times slower
+        return np.add(lattice(np.broadcast_to((row_coef * x % n)[:, None], shape)),
+                      lattice(np.broadcast_to(col_coef * x % n, shape)), order="C")
+
     # a row term plus a column term, each reduced mod n, is below 2n: wrap reduces it
     wrap = np.arange(2 * n) % n
-    idx = (wrap * n)[a * rows % n + b * cols % n] + wrap[c * rows % n + d * cols % n]
+    idx = (wrap // row_step * n)[term(p, q)] + wrap[term(r, s)]
     idx.flags.writeable = False
     return idx
+
+
+@lru_cache(maxsize=1)
+def source_index(spec: ArnoldSpec) -> np.ndarray:
+    """Flat source of each pixel of scramble: scramble(g, spec) is
+    g.ravel()[source_index(spec)]."""
+    n = spec.size
+    return _positions(_mat_pow(_FORWARD, -spec.iterations % period(n), n), n, lambda g: g, 1)
+
+
+@lru_cache(maxsize=1)
+def _layout(size: int, n: int):
+    """(lattice, perm) for n >= 0 steps at an even size: lattice(g) is the
+    view of g's pixels x that D**n moves onto an even row, and perm holds,
+    in that view's shape, the flat index of D**n x in the even rows g[0::2].
+    So lattice(out)[...] = rows.ravel()[perm] writes unscramble of a grid
+    whose even rows are rows and whose odd rows are zero."""
+    lattice = _LATTICES[n % 3]
+    return lattice, _positions(_mat_pow(_FORWARD, n, size), size, lattice, 2)
 
 
 def scramble(img, spec: ArnoldSpec) -> np.ndarray:

@@ -40,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    # int() would also take a '+', '_' separators and non-ASCII digits; the
+    # message is the one argparse gives for type=int
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fresnelstego",
@@ -74,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, op in (("scramble", scramble), ("unscramble", unscramble)):
         sub = arnold_commands.add_parser(name, help=f"{name} a square image")
         sub.add_argument("--in", dest="in_path", required=True)
-        sub.add_argument("--n", type=int, required=True, help="step count")
+        sub.add_argument("--n", type=_integer, required=True, help="step count")
         sub.add_argument("--out", required=True)
         sub.set_defaults(run=_cmd_permute, op=op)
     sub = arnold_commands.add_parser("period", help="print the cycle length for a grid side")
-    sub.add_argument("--size", type=int, required=True)
+    sub.add_argument("--size", type=_integer, required=True)
     sub.set_defaults(run=_cmd_period)
 
     cmd = commands.add_parser("histogram", help="print 256 'bin count' lines")

@@ -13,14 +13,19 @@ F = propagate(secret) and P + iQ = idct2(F), on Re and Im alike:
 hence embedded = host + s * unscramble(D). As complex pairs, D[0::2] =
 (1 + i) * conj(P + iQ) = (1 + i) * idct2(propagate_inverse(secret)), the
 secret being real and the transfer factor even in frequency. The host
-is never scrambled, split or transformed, and as D's odd rows are zero,
-unscramble(D) is D[0::2] at idx = arnold.source_index(spec, row_step=2)
-and zero elsewhere: embed adds at idx only, and its report
-(metrics.compare_changed) is host moments plus sums over idx.
+is never scrambled, split or transformed. D's odd rows are zero, so
+unscramble(D) is zero off the pixels that D**n maps onto even rows. By
+the cat map's parity rule (D has order 3 mod 2, see arnold) those pixels
+are one fixed lattice chosen by n mod 3: the even rows, the checkerboard
+{a + b even} or the even columns. Only the order within it depends on the
+key. arnold._layout gives the lattice as a strided view and the order as
+a permutation perm of D[0::2]'s flat positions: embed adds
+D[0::2].ravel()[perm] onto the host's view, and its report
+(metrics.compare_changed) is host moments plus sums over the view.
 
 Extraction is non-blind: it needs the original host and the same key.
-With w = scramble(embedded - host)[0::2], gathered once from the
-difference at idx and read as (real, imag) pairs,
+With w = scramble(embedded - host)[0::2], scattered once through perm
+from the difference of the two views and read as (real, imag) pairs,
 
     secret = |propagate(dct2(w / (sqrt(2) * s)))|,
 
@@ -39,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .arnold import ArnoldSpec, source_index
+from .arnold import _layout
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, propagate, propagate_inverse
 from .metrics import MetricsReport, compare_changed
@@ -92,13 +97,13 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     coded = idctn(propagate_inverse(secret_grid, key.fresnel), norm="ortho")
     coded *= (1 + 1j) * key.strength
     payload = coded.view(np.float64)  # s * D[0::2]
-    idx = source_index(ArnoldSpec(side, key.arnold_iterations), row_step=2)
-    flat = host_grid.ravel()
-    before = flat[idx]
-    after = before + payload
+    lattice, perm = _layout(side, key.arnold_iterations)
+    before = lattice(host_grid)
+    after = payload.ravel()[perm]
+    after += before
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
-    embedded = (flat + 0.0).reshape(side, side)
-    embedded.ravel()[idx] = after
+    embedded = host_grid + 0.0
+    lattice(embedded)[...] = after
     return EmbedResult(embedded, compare_changed(host_grid, embedded, before, after))
 
 
@@ -113,8 +118,12 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
     if key.strength == 0.0:
         raise ParameterError("strength must be positive for extraction")
 
-    idx = source_index(ArnoldSpec(embedded_grid.shape[0], key.arnold_iterations), row_step=2)
+    side = host_grid.shape[0]
+    lattice, perm = _layout(side, key.arnold_iterations)
+    w = np.empty(side * side // 2)
+    w[perm] = lattice(embedded_grid) - lattice(host_grid)
     # scaled before the transforms, so that an overflow (a tiny strength) meets
     # propagate's finite check and raises DataError instead of returning inf
-    w = (embedded_grid - host_grid).ravel()[idx] / (np.sqrt(2.0) * key.strength)
-    return np.abs(propagate(dctn(w.view(np.complex128), norm="ortho"), key.fresnel))
+    w /= np.sqrt(2.0) * key.strength
+    w = w.reshape(side // 2, side).view(np.complex128)
+    return np.abs(propagate(dctn(w, norm="ortho"), key.fresnel))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, ParameterError, ShapeError, period,
                           scramble, unscramble)
-from fresnelstego.arnold import source_index
+from fresnelstego.arnold import _layout, source_index
 
 
 def index_grid(n):
@@ -186,20 +186,69 @@ def test_source_index_equals_plain_modular_formula(side):
     for steps in sorted({0, 1, 7 % cycle, cycle - 1}):
         for count, m in ((steps, ((2, -1), (-1, 1))), (cycle - steps, ((1, 1), (1, 2)))):
             (a, b), (c, d) = matrix_power_by_steps(m, steps, side)
-            for row_step in (1, 2):
-                r = np.arange(0, side, row_step, dtype=np.int64)[:, None]
-                col = np.arange(side, dtype=np.int64)
-                plain = (a * r + b * col) % side * side + (c * r + d * col) % side
-                got = source_index(ArnoldSpec(side, count), row_step)
-                assert np.array_equal(got, plain), (steps, count, row_step)
+            r = np.arange(side, dtype=np.int64)[:, None]
+            col = np.arange(side, dtype=np.int64)
+            plain = (a * r + b * col) % side * side + (c * r + d * col) % side
+            got = source_index(ArnoldSpec(side, count))
+            assert np.array_equal(got, plain), (steps, count)
 
 
 def test_source_index_is_shared_and_read_only():
     # calls under one key share one cached index, so a caller's write into it
-    # would corrupt every later scramble and embed
+    # would corrupt every later scramble
     spec = ArnoldSpec(16, 5)
-    idx = source_index(spec, row_step=2)
-    assert source_index(spec, row_step=2) is idx
+    idx = source_index(spec)
+    assert source_index(spec) is idx
     with pytest.raises(ValueError):
         idx[0, 0] = 1
-    assert np.array_equal(scramble(index_grid(16), spec)[::2], index_grid(16).ravel()[idx])
+    assert np.array_equal(scramble(index_grid(16), spec), index_grid(16).ravel()[idx])
+
+
+@pytest.mark.parametrize("side", list(range(2, 41, 2)) + [480, 1024])
+def test_layout_equals_plain_modular_formula(side):
+    # the layout sends each lattice pixel x to D**n x, which is also the
+    # adjugate to the power cycle - n, on an even row; perm is its flat index there
+    cycle = period(side)
+    rows, cols = np.indices((side, side))
+    for steps in sorted({0, 1, 7 % cycle, cycle - 1}):
+        for count, m in ((steps, ((1, 1), (1, 2))), (cycle - steps, ((2, -1), (-1, 1)))):
+            (a, b), (c, d) = matrix_power_by_steps(m, steps, side)
+            lattice, perm = _layout(side, count)
+            r, col = lattice(rows), lattice(cols)
+            to_row, to_col = (a * r + b * col) % side, (c * r + d * col) % side
+            assert np.all(to_row % 2 == 0), (steps, count)
+            assert np.array_equal(perm, to_row // 2 * side + to_col), (steps, count)
+
+
+def test_layout_is_shared_and_read_only():
+    # embed and extract under one key share one cached permutation, so a
+    # caller's write into it would corrupt every later embed and extract
+    lattice, perm = _layout(16, 5)
+    assert _layout(16, 5)[1] is perm
+    with pytest.raises(ValueError):
+        perm[0, 0] = 1
+    img = index_grid(16)
+    rows = scramble(img, ArnoldSpec(16, 5))[0::2]
+    assert np.array_equal(rows.ravel()[perm], lattice(img))
+
+
+def test_layout_is_unscramble_of_the_even_rows():
+    # D is [[1, 1], [1, 0]] mod 2, of order 3, so the pixels unscramble brings
+    # from the even rows are the even rows, the checkerboard {a + b even} or
+    # the even columns, as n is 0, 1 or 2 mod 3
+    for side in list(range(4, 65, 4)) + [100, 300]:
+        a, b = np.indices((side, side))
+        by_class = (a % 2 == 0, (a + b) % 2 == 0, b % 2 == 0)
+        numbered = np.zeros((side, side))
+        numbered[0::2] = np.arange(1, side * side // 2 + 1).reshape(side // 2, side)
+        for n in range(period(side)):
+            expected = unscramble(numbered, ArnoldSpec(side, n))
+            lattice, perm = _layout(side, n)
+            mask = np.zeros((side, side), dtype=bool)
+            lattice(mask)[...] = True
+            # numbered is nonzero exactly on the even rows
+            assert np.array_equal(mask, expected != 0), (side, n)
+            assert np.array_equal(mask, by_class[n % 3]), (side, n)
+            written = np.zeros((side, side))
+            lattice(written)[...] = numbered[0::2].ravel()[perm]
+            assert np.array_equal(written, expected), (side, n)

@@ -143,7 +143,10 @@ def test_usage_errors_exit_one(capsys):
     assert run("bogus") == 1
     assert run("embed", "--host", "x") == 1
     assert run("arnold") == 1
-    assert run("arnold", "scramble", "--in", "x", "--n", "abc", "--out", "y") == 1
+    # integers are an optional '-' and ASCII digits: no '+', '_' or other digits
+    for bad in ("abc", "+12", "1_2", "\u0661\u0662"):
+        assert run("arnold", "scramble", "--in", "x", "--n", bad, "--out", "y") == 1
+        assert run("arnold", "period", "--size", bad) == 1
     assert capsys.readouterr().err != ""
 
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn, idctn
 
 from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey,
                           UndefinedCorrelationError, cc, compare, dct2, dwt2,
                           embed, extract, fft2, fresnelet_analyze,
                           fresnelet_synthesize, idct2, idwt2, ifft2, mse,
-                          period, propagate, psnr, quantize_u8, scramble,
-                          unscramble)
+                          period, propagate, propagate_inverse, psnr,
+                          quantize_u8, scramble, unscramble)
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -207,7 +208,7 @@ def test_wrong_distance_frozen_sensitivity():
 
 
 def test_key_order_cannot_leak_an_earlier_key():
-    # source_index and the Fresnel factor keep the last key's arrays; a cache
+    # the cat-map layout and the Fresnel factor keep the last key's arrays; a cache
     # keyed on too little would make a wrong key recover, or the right one fail
     host, secret = small_pair()
     key = REFERENCE_KEY
@@ -279,6 +280,26 @@ def staged_extract(embedded, host, key):
     coded_i = ((dct2(eb.hl) - dct2(hb.hl)) + (dct2(eb.hh) - dct2(hb.hh))) / half
     quad = [r + 1j * i for r, i in zip(dwt2(coded_r), dwt2(coded_i))]
     return np.abs(fresnelet_synthesize(quad, key.fresnel))
+
+
+@pytest.mark.parametrize("side", (12, 20, 100))
+def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
+    # steps 5, 7, 12, 13, 14 cover all three lattices: n = 0, 1, 2 (mod 3) write
+    # the payload onto the even rows, the checkerboard or the even columns
+    host = textured_image(side, side)
+    secret = textured_image(side // 2, side + 1, rolloff=6.0)
+    for steps in (5, 7, 12, 13, 14):
+        key = StegoKey(DESK_KEY.fresnel, steps, DESK_KEY.strength)
+        spec = ArnoldSpec(side, steps)
+        d = np.zeros((side, side))
+        d[0::2] = (idctn(propagate_inverse(secret, key.fresnel), norm="ortho")
+                   * ((1 + 1j) * key.strength)).view(np.float64)
+        embedded = embed(host, secret, key).embedded
+        assert embedded.tobytes() == (host + unscramble(d, spec)).tobytes(), steps
+        for delivered in (embedded, quantize_u8(embedded)):
+            w = scramble(delivered - host, spec)[0::2] / (np.sqrt(2.0) * key.strength)
+            chain = np.abs(propagate(dctn(w.view(np.complex128), norm="ortho"), key.fresnel))
+            assert extract(delivered, host, key).tobytes() == chain.tobytes(), steps
 
 
 # host sides divisible by 4, powers of two or not, each with steps in 0...3 * period(side)
