@@ -4,11 +4,10 @@ Pixels are 0-indexed. One forward step moves the pixel at (a, b) to
 ((a + b) mod N, (a + 2b) mod N), i.e. the matrix D = [[1, 1], [1, 2]]
 acting on coordinates mod N; (0, 0) never moves. n steps are D**n mod N
 computed exactly in Python integers, so cost does not grow with n.
-scramble is one gather through source_index, the flat position each
-output pixel reads, which is D**-n. The map is periodic with period T,
-so D**-n = D**(T - n) and unscramble is scramble by the complementary
-count T - n. Nothing is scattered; zero steps gather a fresh, exact copy.
-source_index keeps its last index, read-only: 8 * n**2 bytes.
+scramble is one gather: each output pixel x reads the pixel at D**-n x,
+and D**-1 is the adjugate [[2, -1], [-1, 1]] since det D = 1.
+unscramble gathers through D**n. Nothing is scattered or kept; zero
+steps gather a fresh, exact copy.
 
 Parity rule. Mod 2, D is [[1, 1], [1, 0]], of order 3: it cycles the
 parity classes (1, 0) -> (1, 1) -> (0, 1) -> (1, 0) and fixes (0, 0). So
@@ -118,14 +117,6 @@ def _positions(m, n, lattice, row_step):
 
 
 @lru_cache(maxsize=1)
-def source_index(spec: ArnoldSpec) -> np.ndarray:
-    """Flat source of each pixel of scramble: scramble(g, spec) is
-    g.ravel()[source_index(spec)]."""
-    n = spec.size
-    return _positions(_mat_pow(_FORWARD, -spec.iterations % period(n), n), n, lambda g: g, 1)
-
-
-@lru_cache(maxsize=1)
 def _layout(size: int, n: int):
     """(lattice, perm) for n >= 0 steps at an even size: lattice(g) is the
     view of g's pixels x that D**n moves onto an even row, and perm holds,
@@ -136,16 +127,21 @@ def _layout(size: int, n: int):
     return lattice, _positions(_mat_pow(_FORWARD, n, size), size, lattice, 2)
 
 
-def scramble(img, spec: ArnoldSpec) -> np.ndarray:
-    """Apply spec.iterations forward steps. Pure permutation: every sample
-    value survives bit-for-bit, only positions change."""
+def _gather(img, spec: ArnoldSpec, m) -> np.ndarray:
+    # each output pixel x reads the pixel at m**iterations x
     g = as_grid(img)
     n = spec.size
     if g.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} grid, got {g.shape[0]}x{g.shape[1]}")
-    return g.ravel()[source_index(spec)]
+    return g.ravel()[_positions(_mat_pow(m, spec.iterations, n), n, lambda v: v, 1)]
+
+
+def scramble(img, spec: ArnoldSpec) -> np.ndarray:
+    """Apply spec.iterations forward steps. Pure permutation: every sample
+    value survives bit-for-bit, only positions change."""
+    return _gather(img, spec, ((2, -1), (-1, 1)))
 
 
 def unscramble(img, spec: ArnoldSpec) -> np.ndarray:
     """Exact inverse of scramble with the same spec."""
-    return scramble(img, ArnoldSpec(spec.size, period(spec.size) - spec.iterations))
+    return _gather(img, spec, _FORWARD)

@@ -3,8 +3,8 @@
 SSIM here uses whole-image statistics (one window covering the grid), so
 sliding-window implementations report different values for the same
 pair. Variances are population variances (no Bessel correction). Every
-measure but mse follows from five moments, which compare_changed gets
-from moment algebra when a pair differs only at known samples.
+measure but mse follows from five moments: the two means and the
+deviation sums sum(da * da), sum(db * db) and sum(da * db).
 """
 from __future__ import annotations
 
@@ -58,7 +58,10 @@ def _moments(ga, gb):
     mu_b = float(gb.mean())
     da = ga - mu_a
     db = gb - mu_b
-    return mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)), float(np.sum(da * db))
+    sab = float(np.sum(da * db))
+    # squaring in place once sab is taken spares two full-grid buffers
+    saa = float(np.sum(np.multiply(da, da, out=da)))
+    return mu_a, mu_b, saa, float(np.sum(np.multiply(db, db, out=db))), sab
 
 
 def _finite(*values) -> None:
@@ -67,8 +70,8 @@ def _finite(*values) -> None:
         raise DataError(f"samples too large to score: got {values}")
 
 
-def _mse(ga, gb, out=None) -> float:
-    d = np.subtract(ga, gb, out=out)
+def _mse(ga, gb) -> float:
+    d = ga - gb
     m = float(np.mean(np.multiply(d, d, out=d)))
     _finite(m)
     return m
@@ -158,18 +161,16 @@ def compare(a, b) -> MetricsReport:
     return _report(_mse(ga, gb), _moments(ga, gb), ga.size)
 
 
-def compare_changed(host, changed, before, after) -> MetricsReport:
-    """compare(host, changed) for checked float grids that differ only where
-    host samples before became after: with d = after - before, N samples and
-    mu = mean(host), changed has mean mu + sum(d) / N, S_he = S_hh + S_hd and
-    S_ee = S_hh + 2 * S_hd + sum(d * d) - sum(d)**2 / N, S_hd = sum((before - mu) * d)."""
-    count, mu = host.size, float(host.mean())
-    dh = host - mu
-    s_hh = float(np.sum(np.multiply(dh, dh, out=dh)))
-    d, db = after - before, before - mu
-    s_d, s_hd = float(np.sum(d)), float(np.sum(np.multiply(db, d, out=db)))
-    s_dd = float(np.sum(np.multiply(d, d, out=d)))
-    moments = (mu, mu + s_d / count, s_hh,
-               s_hh + 2.0 * s_hd + s_dd - s_d * s_d / count, s_hh + s_hd)
-    # reusing dh spares a fresh full-grid buffer, which can cost more than its pass
-    return _report(_mse(host, changed, out=dh), moments, count)
+def _row_sum(x, y) -> float:
+    # row dot products added pairwise: no full-grid product, within 1e-12 of compare
+    return float(np.sum(np.einsum("ij,ij->i", x, y)))
+
+
+def compare_embedded(host, embedded) -> MetricsReport:
+    """compare(host, embedded) for two checked float grids of one shape,
+    with the same mse and its deviation sums taken row by row."""
+    m = _mse(host, embedded)
+    mu_h, mu_e = float(host.mean()), float(embedded.mean())
+    dh, de = host - mu_h, embedded - mu_e
+    moments = (mu_h, mu_e, _row_sum(dh, dh), _row_sum(de, de), _row_sum(dh, de))
+    return _report(m, moments, host.size)

@@ -20,8 +20,7 @@ are one fixed lattice chosen by n mod 3: the even rows, the checkerboard
 {a + b even} or the even columns. Only the order within it depends on the
 key. arnold._layout gives the lattice as a strided view and the order as
 a permutation perm of D[0::2]'s flat positions: embed adds
-D[0::2].ravel()[perm] onto the host's view, and its report
-(metrics.compare_changed) is host moments plus sums over the view.
+D[0::2].ravel()[perm] onto the host's view.
 
 Extraction is non-blind: it needs the original host and the same key.
 With w = scramble(embedded - host)[0::2], scattered once through perm
@@ -47,7 +46,7 @@ from scipy.fft import dctn, idctn
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, propagate, propagate_inverse
-from .metrics import MetricsReport, compare_changed
+from .metrics import MetricsReport, compare_embedded
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
                        checked_square)
 
@@ -98,13 +97,12 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     coded *= (1 + 1j) * key.strength
     payload = coded.view(np.float64)  # s * D[0::2]
     lattice, perm = _layout(side, key.arnold_iterations)
-    before = lattice(host_grid)
     after = payload.ravel()[perm]
-    after += before
+    after += lattice(host_grid)
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
     lattice(embedded)[...] = after
-    return EmbedResult(embedded, compare_changed(host_grid, embedded, before, after))
+    return EmbedResult(embedded, compare_embedded(host_grid, embedded))
 
 
 def extract(embedded, host, key: StegoKey) -> ImageGrid:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, ParameterError, ShapeError, period,
                           scramble, unscramble)
-from fresnelstego.arnold import _layout, source_index
+from fresnelstego.arnold import _layout
 
 
 def index_grid(n):
@@ -180,28 +182,35 @@ def matrix_power_by_steps(m, steps, n):
 
 @pytest.mark.parametrize("side", list(range(2, 41)) + [480, 1024])
 def test_source_index_equals_plain_modular_formula(side):
-    # scramble reads through D**-steps (the adjugate [[2, -1], [-1, 1]] to the
-    # power steps), unscramble, scramble by cycle - steps, through D**steps
+    # scramble reads each pixel through D**-steps (the adjugate [[2, -1], [-1, 1]]
+    # to the power steps), unscramble through D**steps; scrambling the grid of
+    # flat indices shows the source index of every output pixel
     cycle = period(side)
+    r = np.arange(side, dtype=np.int64)[:, None]
+    col = np.arange(side, dtype=np.int64)
     for steps in sorted({0, 1, 7 % cycle, cycle - 1}):
-        for count, m in ((steps, ((2, -1), (-1, 1))), (cycle - steps, ((1, 1), (1, 2)))):
+        spec = ArnoldSpec(side, steps)
+        for gather, m in ((scramble, ((2, -1), (-1, 1))), (unscramble, ((1, 1), (1, 2)))):
             (a, b), (c, d) = matrix_power_by_steps(m, steps, side)
-            r = np.arange(side, dtype=np.int64)[:, None]
-            col = np.arange(side, dtype=np.int64)
             plain = (a * r + b * col) % side * side + (c * r + d * col) % side
-            got = source_index(ArnoldSpec(side, count))
-            assert np.array_equal(got, plain), (steps, count)
+            got = gather(index_grid(side), spec)
+            assert np.array_equal(got, plain), (steps, gather.__name__)
 
 
-def test_source_index_is_shared_and_read_only():
-    # calls under one key share one cached index, so a caller's write into it
-    # would corrupt every later scramble
-    spec = ArnoldSpec(16, 5)
-    idx = source_index(spec)
-    assert source_index(spec) is idx
-    with pytest.raises(ValueError):
-        idx[0, 0] = 1
-    assert np.array_equal(scramble(index_grid(16), spec), index_grid(16).ravel()[idx])
+@pytest.mark.parametrize("gather", [scramble, unscramble])
+def test_gathers_keep_no_index(gather):
+    # embed and extract never scramble, so a cached index would only hold
+    # memory: a kept 520 x 520 index would be 2,163,200 bytes
+    img, spec = index_grid(520), ArnoldSpec(520, 7)
+    gather(img, spec)  # any one-time state is in place before the count starts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = gather(img, ArnoldSpec(520, 11))
+        kept = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 @pytest.mark.parametrize("side", list(range(2, 41, 2)) + [480, 1024])
