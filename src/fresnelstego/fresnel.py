@@ -10,11 +10,14 @@ and transformed back. Unit modulus makes the operation exactly unitary.
 The exponent sign is a convention; the inverse applies the conjugate
 factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
-fftfreq negates bins exactly (nu[N - k] == -nu[k]), so the factor is a
-bit-exact mirror of its (N//2 + 1)-square quadrant, the only part
-exponentiated; it scales a scipy.fft spectrum in place. Any square side
-works, odd ones included: the orthonormal DFT is unitary at every size.
-The last quadrant built is kept, read-only: 16 * (N//2 + 1)**2 bytes.
+fftfreq negates bins exactly (nu[N - k] == -nu[k]), so row and column k
+take the factor of bin min(k, N - k), and the phase of (k, l) equals that
+of (l, k): one exponential serves each symmetric pair. The last factor
+built is kept, read-only, as its first N//2 + 1 rows with the columns
+mirrored, 16 * (N//2 + 1) * N bytes; it scales the spectrum's upper rows
+in place, and its rows in reverse order the lower ones. A real field
+takes scipy.fft's real-input FFT. Any square side works, odd ones
+included: the orthonormal DFT is unitary at every size.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ParameterError
-from .numerics import ComplexGrid, as_field, checked_real, checked_square
+from .numerics import ComplexGrid, as_grid, checked_real, checked_square
 
 
 @dataclass(frozen=True)
@@ -60,26 +63,32 @@ class FresnelParams:
 
 
 @lru_cache(maxsize=1)
-def _quadrant(side: int, params: FresnelParams) -> np.ndarray:
-    nu = np.fft.fftfreq(side, d=params.pitch)[:side // 2 + 1]
-    phase = np.pi * params.wavelength * params.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-    q = np.exp(-1j * phase)
+def _half(side: int, params: FresnelParams) -> np.ndarray:
+    h = side // 2 + 1
+    nu2 = np.fft.fftfreq(side, d=params.pitch)[:h] ** 2
+    i, j = np.triu_indices(h)
+    q = np.empty((h, side), np.complex128)
+    q[i, j] = q[j, i] = np.exp(
+        -1j * (np.pi * params.wavelength * params.distance * (nu2[i] + nu2[j])))
+    q[:, h:] = q[:, side - h:0:-1]
     q.flags.writeable = False
     return q
 
 
 def _filter(field, params: FresnelParams, inverse: bool) -> ComplexGrid:
-    f = checked_square(as_field(field), "field", 1)
+    f = checked_square(as_grid(field), "field", 1)
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
-        return f.copy()
+        return f.astype(np.complex128)
     side = f.shape[0]
-    q = _quadrant(side, params)
-    # bin i takes the factor of bin min(i, side - i); conj(q) is exp(i * phase), exactly
-    k = np.minimum(np.arange(side), side - np.arange(side))
+    q = _half(side, params)
+    if inverse:
+        q = np.conj(q)  # exp(i * phase), exactly
+    h = len(q)
     spectrum = scipy.fft.fft2(f, norm="ortho")
-    spectrum *= (np.conj(q) if inverse else q)[k][:, k]
+    spectrum[:h] *= q
+    spectrum[h:] *= q[side - h:0:-1]
     return scipy.fft.ifft2(spectrum, norm="ortho", overwrite_x=True)
 
 

@@ -20,6 +20,9 @@ from .numerics import as_image, checked_real
 PEAK = 255.0
 DEFAULT_C1 = (0.01 * PEAK) ** 2
 DEFAULT_C2 = (0.03 * PEAK) ** 2
+# overflow in a score's array arithmetic is reported once, as the DataError
+# of _finite, and not also as a numpy RuntimeWarning
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ def _pair(a, b):
     return ga, gb
 
 
+@_quiet
 def _moments(ga, gb):
     """Means of two checked grids and the deviation sums
     sum(da * da), sum(db * db) and sum(da * db)."""
@@ -70,6 +74,7 @@ def _finite(*values) -> None:
         raise DataError(f"samples too large to score: got {values}")
 
 
+@_quiet
 def _mse(ga, gb) -> float:
     d = ga - gb
     m = float(np.mean(np.multiply(d, d, out=d)))
@@ -166,6 +171,7 @@ def _row_sum(x, y) -> float:
     return float(np.sum(np.einsum("ij,ij->i", x, y)))
 
 
+@_quiet
 def compare_embedded(host, embedded) -> MetricsReport:
     """compare(host, embedded) for two checked float grids of one shape,
     with the same mse and its deviation sums taken row by row."""

@@ -92,10 +92,11 @@ def checked_square(g: np.ndarray, what: str, divisor: int) -> np.ndarray:
 
 
 def fft2(grid) -> ComplexGrid:
-    """Unitary (orthonormal) 2-D DFT of a grid of any shape."""
-    return scipy.fft.fft2(as_field(grid), norm="ortho")
+    """Unitary (orthonormal) 2-D DFT of a grid of any shape. Real input
+    stays real up to scipy.fft's real-input transform."""
+    return scipy.fft.fft2(as_grid(grid), norm="ortho")
 
 
 def ifft2(grid) -> ComplexGrid:
-    """Inverse of fft2, same conventions."""
-    return scipy.fft.ifft2(as_field(grid), norm="ortho")
+    """Inverse of fft2, same conventions; real input stays real here too."""
+    return scipy.fft.ifft2(as_grid(grid), norm="ortho")

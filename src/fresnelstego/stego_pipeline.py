@@ -93,15 +93,13 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    coded = idctn(propagate_inverse(secret_grid, key.fresnel), norm="ortho")
+    coded = idctn(propagate_inverse(secret_grid, key.fresnel), norm="ortho", overwrite_x=True)
     coded *= (1 + 1j) * key.strength
     payload = coded.view(np.float64)  # s * D[0::2]
     lattice, perm = _layout(side, key.arnold_iterations)
-    after = payload.ravel()[perm]
-    after += lattice(host_grid)
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
-    lattice(embedded)[...] = after
+    np.add(payload.ravel()[perm], lattice(host_grid), out=lattice(embedded))
     return EmbedResult(embedded, compare_embedded(host_grid, embedded))
 
 
@@ -122,6 +120,7 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
     w[perm] = lattice(embedded_grid) - lattice(host_grid)
     # scaled before the transforms, so that an overflow (a tiny strength) meets
     # propagate's finite check and raises DataError instead of returning inf
-    w /= np.sqrt(2.0) * key.strength
+    with np.errstate(over="ignore", invalid="ignore"):
+        w /= np.sqrt(2.0) * key.strength
     w = w.reshape(side // 2, side).view(np.complex128)
-    return np.abs(propagate(dctn(w, norm="ortho"), key.fresnel))
+    return np.abs(propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel))

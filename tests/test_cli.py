@@ -177,15 +177,14 @@ def test_overflowing_data_exits_two(workspace, capsys):
     write_float_image(np.full((8, 8), -1e300), workspace / "neg_huge.fimg")
     # finite moments whose products overflow
     write_float_image(1e80 * textured_image(16, 6), workspace / "scaled.fimg")
-    with np.errstate(over="ignore"):
-        for mode in ("float", "u8"):
-            assert run("embed", "--host", workspace / "h16.fimg",
-                       "--secret", workspace / "huge.fimg", "--key", workspace / "default.key",
-                       "--out", workspace / "o.fimg", "--mode", mode) == 2
-        assert run("metrics", "--a", workspace / "huge.fimg",
-                   "--b", workspace / "neg_huge.fimg") == 2
-        assert run("metrics", "--a", workspace / "scaled.fimg",
-                   "--b", workspace / "scaled.fimg") == 2
+    for mode in ("float", "u8"):
+        assert run("embed", "--host", workspace / "h16.fimg",
+                   "--secret", workspace / "huge.fimg", "--key", workspace / "default.key",
+                   "--out", workspace / "o.fimg", "--mode", mode) == 2
+    assert run("metrics", "--a", workspace / "huge.fimg",
+               "--b", workspace / "neg_huge.fimg") == 2
+    assert run("metrics", "--a", workspace / "scaled.fimg",
+               "--b", workspace / "scaled.fimg") == 2
     assert "too large to score" in capsys.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,9 @@ def test_inverse_is_conjugate_for_real_input():
         for p in (DESK, REFERENCE):
             error = np.linalg.norm(propagate_inverse(x, p) - np.conj(propagate(x, p)))
             assert error <= 1e-12 * np.linalg.norm(x), (side, p)
+            # x takes the real-input FFT, which rounds unlike the complex one
+            error = np.linalg.norm(propagate(x, p) - propagate(x + 0j, p))
+            assert error <= 1e-12 * np.linalg.norm(x), (side, p)
 
 
 def test_zero_distance_is_exact_identity():
@@ -72,6 +76,10 @@ def test_zero_distance_is_exact_identity():
     assert np.array_equal(out, f)
     assert out is not f
     assert np.array_equal(propagate_inverse(f, p), f)
+    # a real field comes back as an equal complex128 copy
+    for out in (propagate(f.real, p), propagate_inverse(f.real, p)):
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, f.real)
 
 
 def test_energy_preserved_at_reference_params():
@@ -97,13 +105,30 @@ def test_inverse_matches_conjugate_factor():
     metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)  # phases near 1e7 rad
     for side, p in ((2, DESK), (3, DESK), (4, DESK), (7, DESK), (32, DESK), (48, DESK),
                     (100, DESK), (256, DESK), (256, metre_range)):
-        f = random_field(side, 9)
         nu = np.fft.fftfreq(side, d=p.pitch)
         phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-        expected_fwd = ifft2(fft2(f) * np.exp(-1j * phase))
-        expected_inv = ifft2(fft2(f) * np.exp(1j * phase))
-        assert np.array_equal(propagate(f, p), expected_fwd), (side, p)
-        assert np.array_equal(propagate_inverse(f, p), expected_inv), (side, p)
+        # a real field takes the real-input FFT in propagate and in fft2 alike
+        for f in (random_field(side, 9), random_field(side, 9).real):
+            expected_fwd = ifft2(fft2(f) * np.exp(-1j * phase))
+            expected_inv = ifft2(fft2(f) * np.exp(1j * phase))
+            assert np.array_equal(propagate(f, p), expected_fwd), (side, p, f.dtype)
+            assert np.array_equal(propagate_inverse(f, p), expected_inv), (side, p, f.dtype)
+
+
+def test_factor_cache_keeps_half_a_filter():
+    # the last factor is kept as its 257 x 512 half, 16 * 257 * 512 bytes at
+    # side 512; a kept full 512 x 512 filter would be twice that
+    f = random_field(512, 5)
+    propagate(f, DESK)  # any one-time state is in place before the count starts
+    other = FresnelParams(DESK.wavelength, 2 * DESK.distance, DESK.pitch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = propagate(f, other)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * 257 * 512 + 64 * 1024
 
 
 def test_composition_adds_distances():

@@ -53,20 +53,19 @@ def test_overflowing_pair_is_a_data_error():
     # finite samples whose squares overflow are a fault in the data; the
     # ParameterError of psnr_from_mse is for a caller's bad scalar
     big = 1e300 * textured_image(16, 6) / 255.0
-    with np.errstate(over="ignore"):
-        for a, b in ((big, -big), (np.full((8, 8), 1e300), np.full((8, 8), -1e300))):
-            with pytest.raises(DataError):
-                compare(a, b)
-        # every moment is finite here, but saa * sbb and var_a * var_b overflow
-        huge = 1e80 * textured_image(16, 6)
-        for score in (compare, cc, ssim):
-            with pytest.raises(DataError):
-                score(huge, huge)
-        # the mse overflows, and so does the luminance term's mu_a * mu_b
-        flat = np.full((8, 8), 1e200)
-        for score in (mse, psnr, ssim):
-            with pytest.raises(DataError):
-                score(flat, -flat)
+    for a, b in ((big, -big), (np.full((8, 8), 1e300), np.full((8, 8), -1e300))):
+        with pytest.raises(DataError):
+            compare(a, b)
+    # every moment is finite here, but saa * sbb and var_a * var_b overflow
+    huge = 1e80 * textured_image(16, 6)
+    for score in (compare, cc, ssim):
+        with pytest.raises(DataError):
+            score(huge, huge)
+    # the mse overflows, and so does the luminance term's mu_a * mu_b
+    flat = np.full((8, 8), 1e200)
+    for score in (mse, psnr, ssim):
+        with pytest.raises(DataError):
+            score(flat, -flat)
 
 
 def test_non_2d_pair_is_a_shape_error():
