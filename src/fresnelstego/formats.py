@@ -212,8 +212,11 @@ def parse_key_text(text: str) -> StegoKey:
 
 
 def load_key(path) -> StegoKey:
-    """Read and parse a key file."""
-    return parse_key_text(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a key file; bytes that are not UTF-8 raise KeyFileError."""
+    try:
+        return parse_key_text(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise KeyFileError(f"key file is not UTF-8 text (byte offset {exc.start})") from None
 
 
 def default_key_path() -> Path:

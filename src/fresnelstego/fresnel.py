@@ -18,6 +18,10 @@ mirrored, 16 * (N//2 + 1) * N bytes; it scales the spectrum's upper rows
 in place, and its rows in reverse order the lower ones. A real field
 takes scipy.fft's real-input FFT. Any square side works, odd ones
 included: the orthonormal DFT is unitary at every size.
+
+propagate and propagate_inverse check their field once; the core they
+share, _filter, checks nothing, and embed and fresnelet_analyze call it
+directly on the square grids they have checked.
 """
 from __future__ import annotations
 
@@ -75,8 +79,7 @@ def _half(side: int, params: FresnelParams) -> np.ndarray:
     return q
 
 
-def _filter(field, params: FresnelParams, inverse: bool) -> ComplexGrid:
-    f = checked_square(as_grid(field), "field", 1)
+def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
         # degenerate case is bit-exact, not merely close
@@ -94,9 +97,9 @@ def _filter(field, params: FresnelParams, inverse: bool) -> ComplexGrid:
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:
     """Forward Fresnel transform of a square field of any side."""
-    return _filter(field, params, False)
+    return _filter(checked_square(as_grid(field), "field", 1), params, False)
 
 
 def propagate_inverse(field, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of propagate: the conjugate transfer factor."""
-    return _filter(field, params, True)
+    return _filter(checked_square(as_grid(field), "field", 1), params, True)

@@ -5,6 +5,11 @@ here once: finite 2-D grids, square sides divisible by what the caller
 needs, integer counts and finite reals. Callers add only their own range
 limits.
 
+A public function checks each grid it is given once; private cores such
+as fresnel._filter take grids their caller has checked. extract keeps
+the public propagate: its scaled difference overflows for a tiny
+strength, and propagate's finite check makes that a DataError.
+
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields; ImageGrid and ComplexGrid are documentation aliases. The DFT
 runs on scipy.fft, the package's one transform backend.
@@ -23,38 +28,24 @@ ImageGrid = np.ndarray
 ComplexGrid = np.ndarray
 
 
-def as_image(samples) -> ImageGrid:
-    """Return samples as a finite 2-D float64 grid, copied only if the
-    input is not already one."""
-    g = np.asarray(samples)
-    if g.ndim != 2 or g.size == 0:
-        raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
-    if np.iscomplexobj(g):
-        raise DataError("expected real-valued samples, got complex")
-    g = g.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(g)):
-        raise DataError("grid contains non-finite samples")
-    return g
-
-
-def as_field(samples) -> ComplexGrid:
-    """Return samples as a finite 2-D complex128 grid.
-
-    Real input is promoted with a zero imaginary part; complex128 input
-    is returned without a copy.
-    """
-    g = np.asarray(samples)
-    if g.ndim != 2 or g.size == 0:
-        raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
-    g = g.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(g)):
-        raise DataError("grid contains non-finite samples")
-    return g
-
-
 def as_grid(samples) -> np.ndarray:
-    """Like as_image / as_field, keeping the input's real or complex kind."""
-    return as_field(samples) if np.iscomplexobj(samples) else as_image(samples)
+    """Return samples as a finite 2-D grid, complex128 if they are complex
+    and float64 otherwise, copied only if the input is not already one."""
+    g = np.asarray(samples)
+    if g.ndim != 2 or g.size == 0:
+        raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
+    g = g.astype(np.complex128 if np.iscomplexobj(g) else np.float64, copy=False)
+    if not np.all(np.isfinite(g)):
+        raise DataError("grid contains non-finite samples")
+    return g
+
+
+def as_image(samples) -> ImageGrid:
+    """as_grid for real samples: complex input raises DataError."""
+    g = as_grid(samples)
+    if g.dtype == np.complex128:
+        raise DataError("expected real-valued samples, got complex")
+    return g
 
 
 def checked_count(name: str, value, minimum: int) -> int:

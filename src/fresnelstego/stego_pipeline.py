@@ -45,7 +45,7 @@ from scipy.fft import dctn, idctn
 
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
-from .fresnel import FresnelParams, propagate, propagate_inverse
+from .fresnel import FresnelParams, _filter, propagate
 from .metrics import MetricsReport, compare_embedded
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
                        checked_square)
@@ -93,7 +93,7 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    coded = idctn(propagate_inverse(secret_grid, key.fresnel), norm="ortho", overwrite_x=True)
+    coded = idctn(_filter(secret_grid, key.fresnel, True), norm="ortho", overwrite_x=True)
     coded *= (1 + 1j) * key.strength
     payload = coded.view(np.float64)  # s * D[0::2]
     lattice, perm = _layout(side, key.arnold_iterations)

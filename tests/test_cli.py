@@ -205,6 +205,17 @@ def test_key_errors_exit_three(workspace, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_non_utf8_key_file_exits_three(workspace, capsys):
+    bad = workspace / "bad.key"
+    bad.write_bytes(DESK_KEY_TEXT.encode() + b"# \xff\n")
+    assert run("embed", "--host", workspace / "host.pgm",
+               "--secret", workspace / "secret.pgm",
+               "--key", bad, "--out", workspace / "o.fimg") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
 def test_key_with_overflowing_phase_exits_three(workspace, capsys):
     # pitch 1e-200 m is finite, but its Nyquist frequency squared is not
     tiny = workspace / "tiny.key"

@@ -265,3 +265,10 @@ def test_key_invalid_physical_values_rejected():
 def test_load_key_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_key(tmp_path / "absent.key")
+
+
+def test_load_key_not_utf8(tmp_path):
+    path = tmp_path / "bad.key"
+    path.write_bytes(b"strength = 0.08\n# caf\xff\n")
+    with pytest.raises(KeyFileError, match="byte offset 21"):
+        load_key(path)

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fresnelstego import (FresnelParams, ParameterError, ShapeError, cc,
-                          default_key_path, fft2, ifft2, load_key, magnitude,
-                          propagate, propagate_inverse)
+from fresnelstego import (DataError, FresnelParams, ParameterError, ShapeError,
+                          cc, default_key_path, fft2, ifft2, load_key,
+                          magnitude, propagate, propagate_inverse)
 from synth import textured_image
 
 REFERENCE = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -191,3 +191,15 @@ def test_shape_rejection():
         propagate(np.zeros((48, 50)), DESK)
     with pytest.raises(ShapeError):
         propagate_inverse(np.zeros((64, 32)), DESK)
+
+
+def test_non_finite_field_rejected():
+    field = random_field(16, 2)
+    cases = [(field, complex(0.0, np.inf))]
+    cases += [(g, bad) for g in (field, field.real) for bad in (np.nan, np.inf, -np.inf)]
+    for g, bad in cases:
+        f = g.copy()
+        f[3, 4] = bad
+        for op in (propagate, propagate_inverse):
+            with pytest.raises(DataError, match="non-finite"):
+                op(f, DESK)

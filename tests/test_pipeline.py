@@ -254,6 +254,31 @@ def test_non_2d_host_is_a_shape_error():
         embed(np.zeros((8, 8, 1)), np.zeros((4, 4)), DESK_KEY)
 
 
+def test_bad_secret_samples_are_data_errors():
+    host, secret = small_pair()
+    nan_secret = secret.copy()
+    nan_secret[5, 7] = np.nan
+    for bad in (nan_secret, secret + 0j):
+        with pytest.raises(DataError):
+            embed(host, bad, DESK_KEY)
+
+
+def test_embed_scans_each_grid_once(monkeypatch):
+    # the finite check runs once per input grid, at the public boundary, and
+    # the Fresnel core takes the checked secret as it is
+    host, secret = textured_image(64, 1), textured_image(32, 2)
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        scanned.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    embed(host, secret, DESK_KEY)
+    assert sorted(scanned) == [(32, 32), (64, 64)]
+
+
 def staged_embed(host, secret, key):
     """The paper's chain, stage by stage: scramble, Haar-split, add the
     Fresnelet-coded secret onto band DCT coefficients, undo both."""
