@@ -6,10 +6,15 @@ correlation, OS errors), 3 invalid key material or parameters.
 
 Outputs are deterministic: the same inputs and flags produce byte-identical
 files and stdout on every run.
+
+cli_main builds its argparse parser once per process and reuses it:
+parse_args writes only into a fresh Namespace, and each subcommand's
+handler is a default stored at build time.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,7 +54,10 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every caller shares it
+    and must not change it."""
     parser = _Parser(
         prog="fresnelstego",
         description="Hide, recover, and score grayscale images carried in "

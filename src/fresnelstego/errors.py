@@ -10,8 +10,8 @@ class ShapeError(StegoError):
 
 
 class DataError(StegoError):
-    """A grid carries samples outside its domain (non-finite or complex
-    where real values are required)."""
+    """A grid carries samples outside its domain (not numbers, non-finite,
+    or complex where real values are required)."""
 
 
 class ParameterError(StegoError):

@@ -212,11 +212,13 @@ def parse_key_text(text: str) -> StegoKey:
 
 
 def load_key(path) -> StegoKey:
-    """Read and parse a key file; bytes that are not UTF-8 raise KeyFileError."""
+    """Read and parse a key file; bytes that are not UTF-8 raise KeyFileError.
+    One leading byte-order mark is dropped."""
     try:
-        return parse_key_text(Path(path).read_bytes().decode("utf-8"))
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise KeyFileError(f"key file is not UTF-8 text (byte offset {exc.start})") from None
+    return parse_key_text(text.removeprefix("\ufeff"))
 
 
 def default_key_path() -> Path:

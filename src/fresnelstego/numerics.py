@@ -30,11 +30,15 @@ ComplexGrid = np.ndarray
 
 def as_grid(samples) -> np.ndarray:
     """Return samples as a finite 2-D grid, complex128 if they are complex
-    and float64 otherwise, copied only if the input is not already one."""
+    and float64 otherwise, copied only if the input is not already one.
+    Samples that do not convert to floats raise DataError."""
     g = np.asarray(samples)
     if g.ndim != 2 or g.size == 0:
         raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
-    g = g.astype(np.complex128 if np.iscomplexobj(g) else np.float64, copy=False)
+    try:
+        g = g.astype(np.complex128 if np.iscomplexobj(g) else np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"cannot convert grid samples: {exc}") from None
     if not np.all(np.isfinite(g)):
         raise DataError("grid contains non-finite samples")
     return g

@@ -6,7 +6,7 @@ import pytest
 
 from fresnelstego import (default_key_path, quantize_u8, read_image, read_pgm,
                           write_float_image, write_pgm)
-from fresnelstego.cli import cli_main
+from fresnelstego.cli import build_parser, cli_main
 from synth import textured_image
 
 DESK_KEY_TEXT = """\
@@ -214,6 +214,74 @@ def test_non_utf8_key_file_exits_three(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not UTF-8" in err
     assert err.count("\n") == 1
+
+
+def test_key_file_with_byte_order_mark(workspace, capsys):
+    (workspace / "bom.key").write_bytes(b"\xef\xbb\xbf" + (workspace / "default.key").read_bytes())
+    results = []
+    for name in ("default.key", "bom.key"):
+        out = workspace / f"{name}.fimg"
+        assert run("embed", "--host", workspace / "host.pgm",
+                   "--secret", workspace / "secret.pgm",
+                   "--key", workspace / name, "--out", out) == 0
+        results.append((capsys.readouterr(), out.read_bytes()))
+    assert results[0] == results[1]
+
+
+def test_shared_parser_keeps_no_state(workspace, capsys):
+    # cli_main reuses one parser per process: no command may leave anything
+    # in it that changes a later command's outcome or the help text
+    assert build_parser() is build_parser()
+    fresh_help = build_parser.__wrapped__().format_help()
+    short = workspace / "short.key"
+    short.write_text("wavelength_nm = 632.8\n")
+    pair = ("--host", workspace / "host.pgm", "--key", workspace / "desk.key")
+    commands = [
+        (1, ("embed", "--host", "x"), None),
+        (3, ("embed", "--host", workspace / "host.pgm", "--secret", workspace / "secret.pgm",
+             "--key", short, "--out", workspace / "bad.fimg"), None),
+        (0, ("arnold", "period", "--size", 12), None),
+        (0, ("metrics", "--a", workspace / "host.pgm", "--b", workspace / "host.pgm",
+             "--json"), None),
+        (2, ("metrics", "--a", workspace / "host.pgm", "--b", workspace / "secret.pgm"), None),
+        (0, ("embed", "--secret", workspace / "secret.pgm", *pair,
+             "--out", workspace / "e.fimg"), "e.fimg"),
+        (0, ("extract", "--embedded", workspace / "e.fimg", *pair,
+             "--out", workspace / "r.fimg"), "r.fimg"),
+    ]
+
+    def one_pass():
+        seen = []
+        for code, argv, out_name in commands:
+            assert run(*argv) == code
+            out, err = capsys.readouterr()
+            seen.append((out, err, (workspace / out_name).read_bytes() if out_name else None))
+        for _, _, out_name in commands:
+            if out_name:  # the next pass must write its own files
+                (workspace / out_name).unlink()
+        return seen
+
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--help")
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    def parsed(parser):
+        return [vars(parser.parse_args([str(a) for a in argv]))
+                for code, argv, _ in commands if code != 1]
+
+    first = one_pass()
+    assert first[0][1] == ("usage error: the following arguments are required: "
+                           "--secret, --key, --out\n")
+    assert first[2][0] == "12\n"
+    assert help_text() == fresh_help
+    embed_help = help_text("embed")
+    assert one_pass() == first
+    assert help_text() == fresh_help
+    assert help_text("embed") == embed_help
+    # what earlier commands in this process left is caught here too
+    assert parsed(build_parser()) == parsed(build_parser.__wrapped__())
 
 
 def test_key_with_overflowing_phase_exits_three(workspace, capsys):

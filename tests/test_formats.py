@@ -272,3 +272,14 @@ def test_load_key_not_utf8(tmp_path):
     path.write_bytes(b"strength = 0.08\n# caf\xff\n")
     with pytest.raises(KeyFileError, match="byte offset 21"):
         load_key(path)
+
+
+def test_load_key_drops_one_byte_order_mark(tmp_path):
+    plain = default_key_path().read_bytes()
+    path = tmp_path / "bom.key"
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert load_key(path) == load_key(default_key_path())
+    # a second mark is key text, and line 1 is then malformed
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + plain)
+    with pytest.raises(KeyFileError, match="line 1"):
+        load_key(path)

@@ -203,3 +203,10 @@ def test_non_finite_field_rejected():
         for op in (propagate, propagate_inverse):
             with pytest.raises(DataError, match="non-finite"):
                 op(f, DESK)
+
+
+def test_non_numeric_field_rejected():
+    for bad in ([["a"]], np.array([[1j, None]], dtype=object)):
+        for op in (propagate, propagate_inverse):
+            with pytest.raises(DataError, match="cannot convert grid samples"):
+                op(bad, DESK)

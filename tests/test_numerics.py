@@ -103,3 +103,10 @@ def test_as_image_rejects_complex():
     for bad in (g + 0j, g.astype(np.complex64), [[1j, 0], [0, 0]]):
         with pytest.raises(DataError, match="expected real-valued samples"):
             as_image(bad)
+
+
+@pytest.mark.parametrize("bad", [[["a"]], np.array([[1j, None]], dtype=object),
+                                 [[10 ** 400]]], ids=["string", "object", "huge-int"])
+def test_as_grid_unconvertible_samples_are_data_errors(bad):
+    with pytest.raises(DataError, match="cannot convert grid samples"):
+        as_grid(bad)

@@ -263,6 +263,12 @@ def test_bad_secret_samples_are_data_errors():
             embed(host, bad, DESK_KEY)
 
 
+def test_non_numeric_host_is_a_data_error():
+    host, secret = small_pair()
+    with pytest.raises(DataError, match="cannot convert grid samples"):
+        embed(np.full(host.shape, "gray"), secret, DESK_KEY)
+
+
 def test_embed_scans_each_grid_once(monkeypatch):
     # the finite check runs once per input grid, at the public boundary, and
     # the Fresnel core takes the checked secret as it is
