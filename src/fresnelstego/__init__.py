@@ -17,7 +17,7 @@ from .fresnel import FresnelParams, propagate, propagate_inverse
 from .fresnelet import fresnelet_analyze, fresnelet_synthesize, magnitude
 from .metrics import (DEFAULT_C1, DEFAULT_C2, MetricsReport, SsimBreakdown,
                       cc, compare, mse, psnr, psnr_from_mse, ssim)
-from .numerics import ComplexGrid, ImageGrid, fft2, ifft2
+from .numerics import ComplexGrid, ImageGrid
 from .stego_pipeline import EmbedResult, StegoKey, embed, extract
 from .wavelet_dct import QuadBands, dct2, dwt2, idct2, idwt2
 
@@ -29,10 +29,9 @@ __all__ = [
     "KeyFileError", "MetricsReport", "ParameterError", "QuadBands",
     "ShapeError", "SsimBreakdown", "StegoError", "StegoKey",
     "UndefinedCorrelationError", "cc", "compare", "dct2", "default_key_path",
-    "dwt2", "embed", "extract", "fft2", "fresnelet_analyze",
-    "fresnelet_synthesize", "idct2", "idwt2", "ifft2", "load_key",
-    "magnitude", "mse", "parse_key_text", "period", "propagate",
-    "propagate_inverse", "psnr", "psnr_from_mse", "quantize_u8",
-    "read_float_image", "read_image", "read_pgm", "scramble", "ssim",
-    "unscramble", "write_float_image", "write_image", "write_pgm",
+    "dwt2", "embed", "extract", "fresnelet_analyze", "fresnelet_synthesize",
+    "idct2", "idwt2", "load_key", "magnitude", "mse", "parse_key_text",
+    "period", "propagate", "propagate_inverse", "psnr", "psnr_from_mse",
+    "quantize_u8", "read_float_image", "read_image", "read_pgm", "scramble",
+    "ssim", "unscramble", "write_float_image", "write_image", "write_pgm",
 ]

@@ -171,6 +171,8 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # argparse exits after printing --help; error() raises instead
+        return EXIT_OK
     try:
         return args.run(args)
     except ParameterError as exc:  # KeyFileError included

@@ -20,8 +20,8 @@ takes scipy.fft's real-input FFT. Any square side works, odd ones
 included: the orthonormal DFT is unitary at every size.
 
 propagate and propagate_inverse check their field once; the core they
-share, _filter, checks nothing, and embed and fresnelet_analyze call it
-directly on the square grids they have checked.
+share, _filter, checks nothing, and stego_pipeline._forward and
+fresnelet_analyze call it directly on square grids already checked.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Input rules and the unitary 2-D DFT.
+"""Input rules.
 
 Every rule the package applies to a caller's grid or scalar is defined
 here once: finite 2-D grids, square sides divisible by what the caller
@@ -6,13 +6,13 @@ needs, integer counts and finite reals. Callers add only their own range
 limits.
 
 A public function checks each grid it is given once; private cores such
-as fresnel._filter take grids their caller has checked. extract keeps
-the public propagate: its scaled difference overflows for a tiny
-strength, and propagate's finite check makes that a DataError.
+as fresnel._filter and stego_pipeline's _forward and _field take grids
+their caller has checked. _field keeps the public propagate: its scaled
+difference overflows for a tiny strength, and propagate's finite check
+makes that a DataError.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
-fields; ImageGrid and ComplexGrid are documentation aliases. The DFT
-runs on scipy.fft, the package's one transform backend.
+fields; ImageGrid and ComplexGrid are documentation aliases.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import math
 import numbers
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError, ParameterError, ShapeError
 
@@ -31,8 +30,12 @@ ComplexGrid = np.ndarray
 def as_grid(samples) -> np.ndarray:
     """Return samples as a finite 2-D grid, complex128 if they are complex
     and float64 otherwise, copied only if the input is not already one.
-    Samples that do not convert to floats raise DataError."""
-    g = np.asarray(samples)
+    A ragged nesting raises ShapeError; samples that do not convert to
+    floats raise DataError."""
+    try:
+        g = np.asarray(samples)
+    except ValueError as exc:  # numpy's inhomogeneous-shape error
+        raise ShapeError(f"expected a non-empty 2-D grid: {exc}") from None
     if g.ndim != 2 or g.size == 0:
         raise ShapeError(f"expected a non-empty 2-D grid, got shape {g.shape}")
     try:
@@ -84,14 +87,3 @@ def checked_square(g: np.ndarray, what: str, divisor: int) -> np.ndarray:
         rule = "square" if divisor == 1 else f"square with a side divisible by {divisor}"
         raise ShapeError(f"{what} must be {rule}, got {r}x{c}")
     return g
-
-
-def fft2(grid) -> ComplexGrid:
-    """Unitary (orthonormal) 2-D DFT of a grid of any shape. Real input
-    stays real up to scipy.fft's real-input transform."""
-    return scipy.fft.fft2(as_grid(grid), norm="ortho")
-
-
-def ifft2(grid) -> ComplexGrid:
-    """Inverse of fft2, same conventions; real input stays real here too."""
-    return scipy.fft.ifft2(as_grid(grid), norm="ortho")

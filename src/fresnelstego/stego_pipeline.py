@@ -3,33 +3,17 @@
 The paper's chain scrambles the host, splits it into Haar bands, and
 adds s * idwt2(Re/Im of the Fresnelet quad of the secret) onto the DCT
 coefficients of the band pairs (ll, lh) and (hl, hh). Every stage is
-linear and the Fresnelet's Haar step is undone at once, so with
-F = propagate(secret) and P + iQ = idct2(F), on Re and Im alike:
+linear, so embed adds A x, A = _forward being one real-linear map of the
+secret x, onto one fixed lattice of host pixels and leaves the others.
+A is sqrt(2) * s times an isometry: (1 + i) * s times a unitary complex
+map on real x, read as (real, imag) pairs. So, with _field its complex
+inverse up to that factor, _field(A x) = exp(i pi/4) * x for every key,
 
-    idct2(dct2(band) + s * Re F) = band + s * P, and
-    idwt2(P, P, Q, Q) = D, with D[0::2, 0::2] = P + Q,
-    D[0::2, 1::2] = P - Q and odd rows zero,
+    A^T y = 2 s**2 * Re(exp(-i pi/4) * _field(y)),  A^+ = A^T / (2 s**2),
 
-hence embedded = host + s * unscramble(D). As complex pairs, D[0::2] =
-(1 + i) * conj(P + iQ) = (1 + i) * idct2(propagate_inverse(secret)), the
-secret being real and the transfer factor even in frequency. The host
-is never scrambled, split or transformed. D's odd rows are zero, so
-unscramble(D) is zero off the pixels that D**n maps onto even rows. By
-the cat map's parity rule (D has order 3 mod 2, see arnold) those pixels
-are one fixed lattice chosen by n mod 3: the even rows, the checkerboard
-{a + b even} or the even columns. Only the order within it depends on the
-key. arnold._layout gives the lattice as a strided view and the order as
-a permutation perm of D[0::2]'s flat positions: embed adds
-D[0::2].ravel()[perm] onto the host's view.
-
-Extraction is non-blind: it needs the original host and the same key.
-With w = scramble(embedded - host)[0::2], scattered once through perm
-from the difference of the two views and read as (real, imag) pairs,
-
-    secret = |propagate(dct2(w / (sqrt(2) * s)))|,
-
-which for any w, noisy 8-bit deliveries included, is the paper's average
-over the two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|.
+and extract's |_field(lattice(embedded) - lattice(host))| is the paper's
+reader for any difference, noisy 8-bit deliveries included. Extraction
+is non-blind: it needs the original host and the same key.
 
 The host side must be divisible by 4: the Fresnelet applies its Haar
 step to the secret, of half the host's side, so the paper's chain is
@@ -80,6 +64,38 @@ class EmbedResult(NamedTuple):
     report: MetricsReport
 
 
+def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
+    """A x for a checked secret: s * D[0::2] as (real, imag) pairs, in the
+    shape of a side x side host's lattice view.
+
+    With F = propagate(secret) and P + iQ = idct2(F), on Re and Im alike
+    idct2(dct2(band) + s * Re F) = band + s * P, and idwt2(P, P, Q, Q) = D
+    with D[0::2, 0::2] = P + Q, D[0::2, 1::2] = P - Q and odd rows zero,
+    so the host gains s * unscramble(D), and as complex pairs D[0::2] =
+    (1 + i) * idct2(propagate_inverse(secret)), the secret being real and
+    the factor even. unscramble(D) is zero off one lattice fixed by n mod 3
+    (arnold's parity rule); arnold._layout gives the order within it."""
+    coded = idctn(_filter(secret_grid, key.fresnel, True), norm="ortho", overwrite_x=True)
+    coded *= (1 + 1j) * key.strength
+    return coded.view(np.float64).ravel()[_layout(side, key.arnold_iterations)[1]]
+
+
+def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
+    """propagate(dctn(w / (sqrt(2) * s))), w being a difference y in a side x
+    side host's lattice shape scattered back into D[0::2]'s order as complex
+    pairs. It undoes _forward's transforms in reverse, so _field(A x) =
+    (1 + i) / sqrt(2) * x, and its modulus is the paper's average over the
+    two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|."""
+    w = np.empty(side * side // 2)
+    w[_layout(side, key.arnold_iterations)[1]] = diff_lattice
+    # scaled before the transforms, so that an overflow (a tiny strength) meets
+    # propagate's finite check and raises DataError instead of returning inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        w /= np.sqrt(2.0) * key.strength
+    w = w.reshape(side // 2, side).view(np.complex128)
+    return propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel)
+
+
 def embed(host, secret, key: StegoKey) -> EmbedResult:
     """Hide secret inside host. The host must be square with a side
     divisible by 4 and the secret square with half that side. Returns the
@@ -93,13 +109,11 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    coded = idctn(_filter(secret_grid, key.fresnel, True), norm="ortho", overwrite_x=True)
-    coded *= (1 + 1j) * key.strength
-    payload = coded.view(np.float64)  # s * D[0::2]
-    lattice, perm = _layout(side, key.arnold_iterations)
+    payload = _forward(secret_grid, key, side)  # before the host copy, which it would evict
+    lattice = _layout(side, key.arnold_iterations)[0]
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
-    np.add(payload.ravel()[perm], lattice(host_grid), out=lattice(embedded))
+    np.add(payload, lattice(host_grid), out=lattice(embedded))
     return EmbedResult(embedded, compare_embedded(host_grid, embedded))
 
 
@@ -115,12 +129,5 @@ def extract(embedded, host, key: StegoKey) -> ImageGrid:
         raise ParameterError("strength must be positive for extraction")
 
     side = host_grid.shape[0]
-    lattice, perm = _layout(side, key.arnold_iterations)
-    w = np.empty(side * side // 2)
-    w[perm] = lattice(embedded_grid) - lattice(host_grid)
-    # scaled before the transforms, so that an overflow (a tiny strength) meets
-    # propagate's finite check and raises DataError instead of returning inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        w /= np.sqrt(2.0) * key.strength
-    w = w.reshape(side // 2, side).view(np.complex128)
-    return np.abs(propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel))
+    lattice = _layout(side, key.arnold_iterations)[0]
+    return np.abs(_field(lattice(embedded_grid) - lattice(host_grid), key, side))

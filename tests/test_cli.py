@@ -228,6 +228,18 @@ def test_key_file_with_byte_order_mark(workspace, capsys):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("command", [(), ("embed",), ("extract",), ("metrics",),
+                                     ("arnold",), ("arnold", "scramble"),
+                                     ("arnold", "unscramble"), ("arnold", "period"),
+                                     ("histogram",)], ids=lambda c: "-".join(c) or "top-level")
+def test_help_returns_zero(command, capsys):
+    # --help prints and returns like any other command; it does not exit
+    assert run(*command, "--help") == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: fresnelstego") and "--help" in out
+    assert err == ""
+
+
 def test_shared_parser_keeps_no_state(workspace, capsys):
     # cli_main reuses one parser per process: no command may leave anything
     # in it that changes a later command's outcome or the help text
@@ -262,9 +274,7 @@ def test_shared_parser_keeps_no_state(workspace, capsys):
         return seen
 
     def help_text(*argv):
-        with pytest.raises(SystemExit) as exit_info:
-            run(*argv, "--help")
-        assert exit_info.value.code == 0
+        assert run(*argv, "--help") == 0
         return capsys.readouterr().out
 
     def parsed(parser):

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn, fft2, idctn, ifft2
 
 from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey,
                           UndefinedCorrelationError, cc, compare, dct2, dwt2,
-                          embed, extract, fft2, fresnelet_analyze,
-                          fresnelet_synthesize, idct2, idwt2, ifft2, mse,
-                          period, propagate, propagate_inverse, psnr,
-                          quantize_u8, scramble, unscramble)
+                          embed, extract, fresnelet_analyze,
+                          fresnelet_synthesize, idct2, idwt2, mse, period,
+                          propagate, propagate_inverse, psnr, quantize_u8,
+                          scramble, unscramble)
+from fresnelstego.stego_pipeline import _field, _forward
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -228,7 +229,7 @@ def test_key_order_cannot_leak_an_earlier_key():
     nu = np.fft.fftfreq(32, d=REFERENCE_PARAMS.pitch)
     phase = (np.pi * REFERENCE_PARAMS.wavelength * REFERENCE_PARAMS.distance
              * (nu[:, None] ** 2 + nu[None, :] ** 2))
-    expected = ifft2(fft2(small_secret) * np.exp(-1j * phase))
+    expected = ifft2(fft2(small_secret, norm="ortho") * np.exp(-1j * phase), norm="ortho")
     assert np.array_equal(propagate(small_secret, key.fresnel), expected)
     assert cc(extract(embedded, host, key), secret) >= 0.999
 
@@ -269,10 +270,8 @@ def test_non_numeric_host_is_a_data_error():
         embed(np.full(host.shape, "gray"), secret, DESK_KEY)
 
 
-def test_embed_scans_each_grid_once(monkeypatch):
-    # the finite check runs once per input grid, at the public boundary, and
-    # the Fresnel core takes the checked secret as it is
-    host, secret = textured_image(64, 1), textured_image(32, 2)
+def scanned_shapes(monkeypatch, call):
+    """The shape of every grid that call() passes to numpy's finite check."""
     scanned = []
     isfinite = np.isfinite
 
@@ -281,8 +280,25 @@ def test_embed_scans_each_grid_once(monkeypatch):
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
-    embed(host, secret, DESK_KEY)
-    assert sorted(scanned) == [(32, 32), (64, 64)]
+    call()
+    return sorted(scanned)
+
+
+def test_embed_scans_each_grid_once(monkeypatch):
+    # the finite check runs once per input grid, at the public boundary, and
+    # the Fresnel core takes the checked secret as it is
+    host, secret = textured_image(64, 1), textured_image(32, 2)
+    assert (scanned_shapes(monkeypatch, lambda: embed(host, secret, DESK_KEY))
+            == [(32, 32), (64, 64)])
+
+
+def test_extract_scans_each_grid_once(monkeypatch):
+    # as embed; the one more scan is propagate's guard on the 32x32 field,
+    # which turns an overflow at a tiny strength into DataError
+    host, secret = textured_image(64, 1), textured_image(32, 2)
+    embedded = embed(host, secret, DESK_KEY).embedded
+    assert (scanned_shapes(monkeypatch, lambda: extract(embedded, host, DESK_KEY))
+            == [(32, 32), (64, 64), (64, 64)])
 
 
 def staged_embed(host, secret, key):
@@ -331,6 +347,34 @@ def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
             w = scramble(delivered - host, spec)[0::2] / (np.sqrt(2.0) * key.strength)
             chain = np.abs(propagate(dctn(w.view(np.complex128), norm="ortho"), key.fresnel))
             assert extract(delivered, host, key).tobytes() == chain.tobytes(), steps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(1, 32).map(lambda k: 4 * k),
+       steps=st.tuples(st.integers(0, 100), st.sampled_from((0, 1, 2))).map(
+           lambda kr: 3 * kr[0] + kr[1]),
+       distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       strength=st.floats(1e-3, 2.0),
+       seed=st.integers(0, 2 ** 16))
+# each lattice, n = 0, 1, 2 (mod 3), at the smallest and the largest side
+@example(side=4, steps=0, distance=0.0, strength=1e-3, seed=0)
+@example(side=4, steps=1, distance=2.0, strength=2.0, seed=1)
+@example(side=128, steps=12, distance=0.05, strength=0.08, seed=2)
+@example(side=128, steps=13, distance=0.0, strength=1.0, seed=3)
+@example(side=128, steps=14, distance=2.0, strength=1e-3, seed=4)
+def test_forward_and_field_are_an_operator_pair(side, steps, distance, strength, seed):
+    # A = _forward is sqrt(2) * s times an isometry on real secrets: its adjoint
+    # is 2 s**2 * Re(exp(-i pi/4) * _field) and _field(A x) = exp(i pi/4) * x
+    key = StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, strength)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((side // 2, side // 2))
+    ax = _forward(x, key, side)
+    y = rng.standard_normal(ax.shape)
+    adjoint = 2 * strength ** 2 * (np.exp(-1j * np.pi / 4) * _field(y, key, side)).real
+    assert (abs(np.vdot(ax, y) - np.vdot(x, adjoint))
+            <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y))
+    assert (np.max(np.abs(_field(ax, key, side) - (1 + 1j) / np.sqrt(2) * x))
+            <= 1e-12 * np.max(np.abs(x)))
 
 
 # host sides divisible by 4, powers of two or not, each with steps in 0...3 * period(side)
