@@ -5,6 +5,16 @@ sliding-window implementations report different values for the same
 pair. Variances are population variances (no Bessel correction). Every
 measure but mse follows from five moments: the two means and the
 deviation sums sum(da * da), sum(db * db) and sum(da * db).
+
+One kernel, _scores, takes every sum. It walks the grids in row-major
+order in leaf blocks of at most _LEAF samples, computes each block's
+differences or deviations in one small reused workspace, and adds the
+block sums where numpy's pairwise add.reduce splits a contiguous run:
+at half the length rounded down to a multiple of 8. So each sum equals
+np.sum over the whole-grid temporary bit for bit, with no such
+temporary allocated. A grid that is not C-contiguous is first copied
+into row-major order, so every memory layout of the same samples scores
+the same.
 """
 from __future__ import annotations
 
@@ -54,32 +64,65 @@ def _pair(a, b):
     return ga, gb
 
 
-@_quiet
-def _moments(ga, gb):
-    """Means of two checked grids and the deviation sums
-    sum(da * da), sum(db * db) and sum(da * db)."""
-    mu_a = float(ga.mean())
-    mu_b = float(gb.mean())
-    da = ga - mu_a
-    db = gb - mu_b
-    sab = float(np.sum(da * db))
-    # squaring in place once sab is taken spares two full-grid buffers
-    saa = float(np.sum(np.multiply(da, da, out=da)))
-    return mu_a, mu_b, saa, float(np.sum(np.multiply(db, db, out=db))), sab
-
-
 def _finite(*values) -> None:
     # finite samples whose squares or products overflow are a fault in the data
     if not all(map(math.isfinite, values)):
         raise DataError(f"samples too large to score: got {values}")
 
 
+# samples per leaf block; at least numpy's pairwise block of 128, so that
+# a leaf's add.reduce is the pairwise sum numpy would take of that run
+_LEAF = 1 << 14
+
+
+def _pairwise(leaf, args, lo, hi):
+    """leaf(lo, hi, *args), a vector of sums over flat samples [lo, hi),
+    added where numpy's pairwise add.reduce splits the run. Module-level:
+    a recursive closure would hold the grids in a reference cycle."""
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf(lo, hi, *args)
+    mid = lo + n // 2 - n // 2 % 8
+    return _pairwise(leaf, args, lo, mid) + _pairwise(leaf, args, mid, hi)
+
+
+def _raw_sums(lo, hi, a, b, w, squares, moments):
+    # sum(a) and sum(b) if moments, then sum((a - b)**2) if squares
+    x, y = a[lo:hi], b[lo:hi]
+    sums = [np.add.reduce(x), np.add.reduce(y)] if moments else []
+    if squares:
+        d = np.subtract(x, y, out=w[0, :hi - lo])
+        sums.append(np.add.reduce(np.multiply(d, d, out=d)))
+    return np.array(sums)
+
+
+def _deviation_sums(lo, hi, a, b, w, mu_a, mu_b):
+    # sum(da * da), sum(db * db) and sum(da * db): the moments' order
+    w = w[:, :hi - lo]
+    da = np.subtract(a[lo:hi], mu_a, out=w[0])
+    db = np.subtract(b[lo:hi], mu_b, out=w[1])
+    np.multiply(da, db, out=w[2])
+    np.multiply(da, da, out=da)
+    np.multiply(db, db, out=db)
+    return np.add.reduce(w, axis=1)
+
+
 @_quiet
-def _mse(ga, gb) -> float:
-    d = ga - gb
-    m = float(np.mean(np.multiply(d, d, out=d)))
-    _finite(m)
-    return m
+def _scores(ga, gb, squares=True, moments=True):
+    """(mse, moments) of two checked grids of one shape, the mse None unless
+    squares and the moments None unless moments. The moments are (mu_a,
+    mu_b, sum(da * da), sum(db * db), sum(da * db)). Nothing is checked
+    here: each score checks only the values it uses."""
+    a, b = ga.ravel(), gb.ravel()
+    n = a.size
+    w = np.empty((3, min(n, _LEAF)))
+    sums = _pairwise(_raw_sums, (a, b, w, squares, moments), 0, n)
+    m = float(sums[-1]) / n if squares else None
+    if not moments:
+        return m, None
+    mu_a, mu_b = float(sums[0]) / n, float(sums[1]) / n
+    deviations = _pairwise(_deviation_sums, (a, b, w, mu_a, mu_b), 0, n)
+    return m, (mu_a, mu_b, *map(float, deviations))
 
 
 def _correlation(moments) -> float:
@@ -110,7 +153,9 @@ def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
 
 def mse(a, b) -> float:
     """Mean squared difference."""
-    return _mse(*_pair(a, b))
+    m = _scores(*_pair(a, b), moments=False)[0]
+    _finite(m)
+    return m
 
 
 def psnr_from_mse(value: float) -> float:
@@ -134,7 +179,7 @@ def cc(a, b) -> float:
     Raises UndefinedCorrelationError when either image is constant, since
     the ratio is then 0/0 and no value is meaningful.
     """
-    return _correlation(_moments(*_pair(a, b)))
+    return _correlation(_scores(*_pair(a, b), squares=False)[1])
 
 
 def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
@@ -151,32 +196,20 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
     if min(c1, c2) < 0.0:
         raise ParameterError(f"c1 and c2 must be non-negative, got {c1} and {c2}")
     ga, gb = _pair(a, b)
-    return _ssim_terms(_moments(ga, gb), ga.size, c1, c2)
+    return _ssim_terms(_scores(ga, gb, squares=False)[1], ga.size, c1, c2)
 
 
-def _report(m, moments, count) -> MetricsReport:
-    terms = _ssim_terms(moments, count, DEFAULT_C1, DEFAULT_C2)
+def _compare(ga, gb) -> MetricsReport:
+    """compare for two checked grids of one shape: embed scores its own
+    grids through this, so its report equals compare's bit for bit."""
+    m, moments = _scores(ga, gb)
+    _finite(m)
+    terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
     return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)
 
 
 def compare(a, b) -> MetricsReport:
-    """Every measure for one pair, from one validation and one moment pass."""
-    ga, gb = _pair(a, b)
-    return _report(_mse(ga, gb), _moments(ga, gb), ga.size)
-
-
-def _row_sum(x, y) -> float:
-    # row dot products added pairwise: no full-grid product, within 1e-12 of compare
-    return float(np.sum(np.einsum("ij,ij->i", x, y)))
-
-
-@_quiet
-def compare_embedded(host, embedded) -> MetricsReport:
-    """compare(host, embedded) for two checked float grids of one shape,
-    with the same mse and its deviation sums taken row by row."""
-    m = _mse(host, embedded)
-    mu_h, mu_e = float(host.mean()), float(embedded.mean())
-    dh, de = host - mu_h, embedded - mu_e
-    moments = (mu_h, mu_e, _row_sum(dh, dh), _row_sum(de, de), _row_sum(dh, de))
-    return _report(m, moments, host.size)
+    """Every measure for one pair, from one validation and one call of the
+    scoring kernel."""
+    return _compare(*_pair(a, b))

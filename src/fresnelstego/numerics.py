@@ -6,10 +6,10 @@ needs, integer counts and finite reals. Callers add only their own range
 limits.
 
 A public function checks each grid it is given once; private cores such
-as fresnel._filter and stego_pipeline's _forward and _field take grids
-their caller has checked. _field keeps the public propagate: its scaled
-difference overflows for a tiny strength, and propagate's finite check
-makes that a DataError.
+as fresnel._filter, stego_pipeline's _forward and _field and
+metrics._compare take grids their caller has checked. _field keeps the
+public propagate: its scaled difference overflows for a tiny strength,
+and propagate's finite check makes that a DataError.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields; ImageGrid and ComplexGrid are documentation aliases.

@@ -30,7 +30,7 @@ from scipy.fft import dctn, idctn
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, _filter, propagate
-from .metrics import MetricsReport, compare_embedded
+from .metrics import MetricsReport, _compare
 from .numerics import (ImageGrid, as_image, checked_count, checked_real,
                        checked_square)
 
@@ -88,6 +88,7 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|."""
     w = np.empty(side * side // 2)
     w[_layout(side, key.arnold_iterations)[1]] = diff_lattice
+    del diff_lattice  # extract's temporary, freed before the transforms
     # scaled before the transforms, so that an overflow (a tiny strength) meets
     # propagate's finite check and raises DataError instead of returning inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,7 +115,8 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
     np.add(payload, lattice(host_grid), out=lattice(embedded))
-    return EmbedResult(embedded, compare_embedded(host_grid, embedded))
+    del payload  # freed before the report, whose workspace can then reuse it
+    return EmbedResult(embedded, _compare(host_grid, embedded))
 
 
 def extract(embedded, host, key: StegoKey) -> ImageGrid:

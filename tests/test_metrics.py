@@ -1,13 +1,17 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fresnelstego import (DEFAULT_C2, DataError, ParameterError, ShapeError,
-                          UndefinedCorrelationError, cc, compare, mse, psnr,
-                          psnr_from_mse, ssim)
+from fresnelstego import (DEFAULT_C2, DataError, FresnelParams, ParameterError,
+                          ShapeError, StegoKey, UndefinedCorrelationError, cc,
+                          compare, embed, metrics, mse, psnr, psnr_from_mse, ssim)
+from fresnelstego.metrics import _scores
 from synth import textured_image
 
 
@@ -61,11 +65,14 @@ def test_overflowing_pair_is_a_data_error():
     for score in (compare, cc, ssim):
         with pytest.raises(DataError):
             score(huge, huge)
-    # the mse overflows, and so does the luminance term's mu_a * mu_b
+    # the mse overflows, and so does the luminance term's mu_a * mu_b; ssim
+    # neither computes nor checks the mse, so it names its own terms
     flat = np.full((8, 8), 1e200)
-    for score in (mse, psnr, ssim):
-        with pytest.raises(DataError):
+    for score in (mse, psnr):
+        with pytest.raises(DataError, match=re.escape("(inf,)")):
             score(flat, -flat)
+    with pytest.raises(DataError, match=re.escape("(nan, nan, nan)")):
+        ssim(flat, -flat)
 
 
 def test_non_2d_pair_is_a_shape_error():
@@ -201,3 +208,72 @@ def test_shape_and_data_rejection():
         compare(np.zeros((4, 4)), np.zeros((4, 8)))
     with pytest.raises(DataError):
         compare(np.zeros((4, 4)), bad)
+
+
+def _spread_pair(side, seed):
+    # non-integer samples over many magnitudes, so every sum rounds
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 255.0, (side, side)) * 10.0 ** rng.uniform(-3.0, 3.0, (side, side))
+    return a, a + rng.standard_normal((side, side)) * 7.5
+
+
+def _whole_grid_sums(a, b):
+    d = a - b
+    mu_a, mu_b = float(a.mean()), float(b.mean())
+    da, db = a - mu_a, b - mu_b
+    moments = (mu_a, mu_b, float(np.sum(da * da)), float(np.sum(db * db)),
+               float(np.sum(da * db)))
+    return float(np.mean(d * d)), moments
+
+
+@pytest.mark.parametrize("side", [100, 129, 181, 362, 500])
+def test_kernel_sums_equal_whole_grid_sums(side):
+    # leaves of at most 16384 samples: one at side 100, two at 129, 16 at 500
+    a, b = _spread_pair(side, side)
+    assert _scores(a, b) == _whole_grid_sums(a, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 90), cols=st.integers(1, 90), seed=st.integers(0, 2 ** 16))
+def test_kernel_sums_equal_whole_grid_sums_at_the_smallest_leaf(rows, cols, seed):
+    # a leaf of numpy's own pairwise block, 128, splits even small grids often
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1e3, 1e3, (rows, cols))
+    b = a * rng.uniform(0.5, 1.5, (rows, cols))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_LEAF", 128)
+        m, moments = _whole_grid_sums(a, b)
+        assert _scores(a, b) == (m, moments)
+        assert _scores(a, b, moments=False) == (m, None)
+        assert _scores(a, b, squares=False) == (None, moments)
+
+
+def test_every_layout_scores_as_its_row_major_copy():
+    # the kernel reads samples in row-major order: a Fortran-ordered or strided
+    # grid scores as its C-contiguous copy, bit for bit
+    a, b = _spread_pair(362, 3)
+    wide_a, wide_b = _spread_pair(724, 4)
+    for x, y in ((np.asfortranarray(a), b), (np.asfortranarray(a), np.asfortranarray(b)),
+                 (a.T, b.T), (wide_a[::2, 1::2], wide_b[1::2, ::2])):
+        cx, cy = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        assert _scores(x, y) == _scores(cx, cy)
+        assert compare(x, y) == compare(cx, cy)
+
+
+def test_scores_keep_no_input_alive():
+    # a reference cycle would keep each scored grid alive until gc runs
+    host, secret = textured_image(256, 1), textured_image(128, 2, rolloff=6.0)
+    key = StegoKey(FresnelParams(632.8e-9, 0.05, 10e-6), arnold_iterations=13, strength=0.08)
+    gc.disable()
+    try:
+        a, b = _spread_pair(200, 5)
+        refs = [weakref.ref(a), weakref.ref(b)]
+        compare(a, b)
+        del a, b
+        assert all(ref() is None for ref in refs)
+        ref = weakref.ref(host)
+        embed(host, secret, key)
+        del host
+        assert ref() is None
+    finally:
+        gc.enable()
