@@ -14,6 +14,9 @@ The float container layout is:
 The PGM reader is strict: magic P5, ASCII-digit header integers, maxval
 255, one whitespace byte before the payload, payload exactly width * height
 bytes, nothing after. Decode errors carry the byte offset of the violation.
+
+The writers stage no byte copy: each hands its grid's row-major buffer to
+the file, and quantize_u8 allocates its one result grid and rounds in place.
 """
 from __future__ import annotations
 
@@ -35,8 +38,10 @@ KEY_NAMES = ("wavelength_nm", "pitch_nm", "distance_cm", "arnold_iterations", "s
 def quantize_u8(img) -> ImageGrid:
     """Clamp to [0, 255], then round halves up. Clamping first means every
     remaining value is non-negative, so rounding half up equals rounding
-    half away from zero. Output is float64 holding integer values."""
-    return np.floor(np.clip(as_image(img), 0.0, 255.0) + 0.5)
+    half away from zero. Returns integer values in one new float64 grid."""
+    g = np.clip(as_image(img), 0.0, 255.0)
+    g += 0.5
+    return np.floor(g, out=g)
 
 
 def _next_token(data: bytes, pos: int):
@@ -105,7 +110,7 @@ def write_pgm(img, path) -> ImageGrid:
     height, width = g.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))
-        fh.write(g.astype(np.uint8).tobytes())
+        fh.write(g.astype(np.uint8, order="C"))
     return g
 
 
@@ -135,7 +140,7 @@ def write_float_image(img, path) -> None:
     rows, cols = g.shape
     with open(path, "wb") as fh:
         fh.write(FLOAT_MAGIC + b"\n%d %d\n" % (rows, cols))
-        fh.write(np.ascontiguousarray(g, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(g, dtype="<f8"))
 
 
 def read_image(path) -> ImageGrid:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fresnelstego import (DataError, FormatError, FresnelParams, KeyFileError,
                           parse_key_text, quantize_u8, read_float_image,
                           read_image, read_pgm, write_float_image, write_image,
                           write_pgm)
+from fresnelstego.numerics import as_image
 
 VALID_KEY_TEXT = """\
 # comment line
@@ -210,6 +213,80 @@ def test_write_image_dispatches_on_extension(tmp_path):
     assert other.read_bytes().startswith(b"FIMG")
     assert np.array_equal(read_image(pgm), quantize_u8(img))
     assert np.array_equal(read_image(other), img)
+
+
+def _gray_levels(shape, seed=5):
+    """Samples spanning the clamp, with exact halves where rounding turns."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-10.0, 265.0, size=shape)
+    g.flat[::7] = np.floor(g.flat[::7]) + 0.5
+    return g
+
+
+def _layouts():
+    base = _gray_levels((24, 40))
+    wide = _gray_levels((24, 80), seed=6)
+    return {
+        "fortran": np.asfortranarray(base),
+        "strided": wide[:, ::2],
+        "big-endian": base.astype(">f8"),
+        "float32": base.astype(np.float32),
+        "integer": np.round(base).astype(np.int64),
+    }
+
+
+@pytest.mark.parametrize("layout", sorted(_layouts()))
+def test_every_layout_writes_as_its_row_major_copy(tmp_path, layout):
+    g = _layouts()[layout]
+    copy = np.ascontiguousarray(g, dtype=np.float64)
+    for writer, suffix in ((write_pgm, ".pgm"), (write_float_image, ".fimg"),
+                           (write_image, ".pgm"), (write_image, ".fimg")):
+        writer(g, tmp_path / ("layout" + suffix))
+        writer(copy, tmp_path / ("copy" + suffix))
+        written = (tmp_path / ("layout" + suffix)).read_bytes()
+        assert written == (tmp_path / ("copy" + suffix)).read_bytes(), (writer.__name__, suffix)
+
+
+_CODECS = [quantize_u8, write_pgm, write_float_image]
+
+
+def _call(codec, g, tmp_path):
+    if codec is quantize_u8:
+        return codec(g)
+    return codec(g, tmp_path / "out.bin")
+
+
+@pytest.mark.parametrize("codec", _CODECS, ids=lambda f: f.__name__)
+def test_codecs_leave_the_checked_grid_unchanged(tmp_path, codec):
+    g = _gray_levels((32, 48))
+    assert as_image(g) is g  # the object every codec works on
+    before = g.tobytes()
+    out = _call(codec, g, tmp_path)
+    assert g.tobytes() == before
+    assert out is None or not np.shares_memory(out, g)
+
+
+_SIDE = 512
+_GRID_F8 = _SIDE * _SIDE * 8
+_GRID_U8 = _SIDE * _SIDE  # also the size of as_image's bool finite scan
+_SLACK = 64 * 1024  # the file object and bookkeeping
+_PEAK_LIMIT = {write_float_image: _GRID_U8 + _SLACK, quantize_u8: _GRID_F8 + _SLACK,
+               write_pgm: _GRID_F8 + _GRID_U8 + _SLACK}
+
+
+@pytest.mark.parametrize("codec", _CODECS, ids=lambda f: f.__name__)
+def test_codec_peak_memory(tmp_path, codec):
+    """No codec stages a byte copy: the peak is the grids it must make.
+    write_float_image makes none; its peak is as_image's one-byte-per-
+    sample finite scan, which the other two free before they allocate."""
+    g = _gray_levels((_SIDE, _SIDE))
+    tracemalloc.start()
+    try:
+        _call(codec, g, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_LIMIT[codec], f"{codec.__name__} peaked at {peak} bytes"
 
 
 def test_key_parsing():
