@@ -7,6 +7,11 @@ correlation, OS errors), 3 invalid key material or parameters.
 Outputs are deterministic: the same inputs and flags produce byte-identical
 files and stdout on every run.
 
+embed --mode u8 reports on the quantized grid it writes, not on the float
+embedded image. It computes embed's float report only when
+metrics._bounded cannot rule out an error in it, and only to raise that
+error, before the file is written, as embed would.
+
 cli_main builds its argparse parser once per process and reuses it:
 parse_args writes only into a fresh Namespace, and each subcommand's
 handler is a default stored at build time.
@@ -23,11 +28,11 @@ from dataclasses import asdict
 import numpy as np
 
 from .arnold import ArnoldSpec, period, scramble, unscramble
-from .errors import ParameterError, StegoError
+from .errors import ParameterError, ShapeError, StegoError
 from .formats import (load_key, quantize_u8, read_image, write_float_image,
                       write_image, write_pgm)
-from .metrics import MetricsReport, compare
-from .stego_pipeline import embed, extract
+from .metrics import MetricsReport, _bounded, _compare, compare
+from .stego_pipeline import _embed, embed, extract
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,11 +119,14 @@ def _cmd_embed(args) -> int:
     host = read_image(args.host)
     secret = read_image(args.secret)
     key = load_key(args.key)
-    result = embed(host, secret, key)
     if args.mode == "u8":
+        host_grid, embedded = _embed(host, secret, key)
+        if not _bounded(host_grid, embedded):  # raise before the write where embed would
+            _compare(host_grid, embedded)
         # report what the written file actually holds
-        report = compare(host, write_pgm(result.embedded, args.out))
+        report = _compare(host_grid, write_pgm(embedded, args.out))
     else:
+        result = embed(host, secret, key)
         write_float_image(result.embedded, args.out)
         report = result.report
     _print_report(report)
@@ -151,7 +159,10 @@ def _cmd_period(args) -> int:
 
 def _cmd_permute(args) -> int:
     img = read_image(args.in_path)
-    spec = ArnoldSpec(size=img.shape[0], iterations=args.n)
+    rows, cols = img.shape
+    if rows != cols or rows < 2:  # a fault in the data (exit 2), checked before the spec
+        raise ShapeError(f"image must be square with a side of at least 2, got {rows}x{cols}")
+    spec = ArnoldSpec(size=rows, iterations=args.n)
     write_image(args.op(img, spec), args.out)
     return EXIT_OK
 

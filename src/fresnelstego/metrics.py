@@ -15,6 +15,14 @@ np.sum over the whole-grid temporary bit for bit, with no such
 temporary allocated. A grid that is not C-contiguous is first copied
 into row-major order, so every memory layout of the same samples scores
 the same.
+
+Scores raise DataError when a sum overflows and UndefinedCorrelationError
+when a deviation sum is 0. _bounded rules both out from four min/max
+reductions: with every sample within +-1e60, no sum comes near overflow,
+and with each grid spanning at least 1e-60, its extreme samples lie at
+least 5e-61 from any mean, so neither deviation sum nor their product
+can reach 0. A caller that needs only to know whether _compare would
+raise can test _bounded and skip the kernel when it holds.
 """
 from __future__ import annotations
 
@@ -165,7 +173,10 @@ def psnr_from_mse(value: float) -> float:
         raise ParameterError(f"mse must be non-negative, got {value}")
     if value == 0.0:
         return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / value)
+    ratio = PEAK * PEAK / value
+    if ratio == math.inf:  # value below PEAK**2 / float max: subtract the logs
+        return 10.0 * (math.log10(PEAK * PEAK) - math.log10(value))
+    return 10.0 * math.log10(ratio)
 
 
 def psnr(a, b) -> float:
@@ -207,6 +218,48 @@ def _compare(ga, gb) -> MetricsReport:
     terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order
     return MetricsReport(m, psnr_from_mse(m), _correlation(moments), *terms)
+
+
+# _bounded's limits: see its proof before changing either
+_SAMPLE_LIMIT = 1e60
+_MIN_SPAN = 1e-60
+
+
+def _bounded(ga, gb) -> bool:
+    """True when _compare(ga, gb) cannot raise, for two checked grids of one
+    shape: each has at most 2**40 samples, all within +-1e60, and a max - min
+    of at least 1e-60. False does not mean _compare raises.
+
+    Proof, with N <= 2**40 samples, B = 1e60 and u = 2**-53 the unit roundoff.
+    Rounding moves a sum of N terms by at most about N u = 1.2e-4 of the sum
+    of their magnitudes, even summed one term at a time, which changes none
+    of the figures below.
+    - No value overflows. Every sample and mean lies within B and every
+      difference or deviation within 2B, so each sum of squares or products
+      is at most N * 4B**2 = 4.4e132, and the mse, variances and covariance
+      at most 4e120. The product of two deviation sums is at most 2e265,
+      var_a * var_b at most 1.6e241, all below the float maximum 1.8e308.
+      Each SSIM term divides by at least c1, c2 or c2 / 2, all positive, and
+      is at most 1 in magnitude up to rounding (2xy <= x**2 + y**2 and
+      Cauchy-Schwarz), as is cc: cc and the SSIM fields are finite and no
+      term is 0/0. The mse is finite and non-negative, so psnr_from_mse
+      returns.
+    - No deviation sum is 0. A grid's exact span is at least 1e-60 / (1 + u),
+      so for any mean mu one extreme sample x has |x - mu| >= 5e-61 / (1 + u),
+      a normal float. Rounding x - mu and its square loses at most a factor
+      (1 - u)**3, and a rounded sum of non-negative terms is at least its
+      largest term, since rounding is monotone. So sum(da * da) and
+      sum(db * db) are each at least 0.99 * (1e-60 / 2)**2 = 2.4e-121, and
+      their rounded product at least 6e-242, above the smallest normal float
+      2.2e-308: cc's product is not 0.
+    """
+    if ga.size > 1 << 40:
+        return False
+    for g in (ga, gb):
+        lo, hi = float(g.min()), float(g.max())
+        if not (-_SAMPLE_LIMIT <= lo and hi <= _SAMPLE_LIMIT and hi - lo >= _MIN_SPAN):
+            return False
+    return True
 
 
 def compare(a, b) -> MetricsReport:

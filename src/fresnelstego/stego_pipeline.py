@@ -97,10 +97,9 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     return propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel)
 
 
-def embed(host, secret, key: StegoKey) -> EmbedResult:
-    """Hide secret inside host. The host must be square with a side
-    divisible by 4 and the secret square with half that side. Returns the
-    float embedded image plus a quality report against the original host."""
+def _embed(host, secret, key: StegoKey):
+    """embed without its report: (host_grid, embedded), the checked host and
+    the float embedded image. The u8 CLI scores the quantized grid instead."""
     host_grid = checked_square(as_image(host), "host", 4)
     secret_grid = as_image(secret)
     side = host_grid.shape[0]
@@ -115,7 +114,14 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
     np.add(payload, lattice(host_grid), out=lattice(embedded))
-    del payload  # freed before the report, whose workspace can then reuse it
+    return host_grid, embedded
+
+
+def embed(host, secret, key: StegoKey) -> EmbedResult:
+    """Hide secret inside host. The host must be square with a side
+    divisible by 4 and the secret square with half that side. Returns the
+    float embedded image plus a quality report against the original host."""
+    host_grid, embedded = _embed(host, secret, key)
     return EmbedResult(embedded, _compare(host_grid, embedded))
 
 

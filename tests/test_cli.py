@@ -1,10 +1,12 @@
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from fresnelstego import (default_key_path, quantize_u8, read_image, read_pgm,
+from fresnelstego import (ParameterError, StegoError, compare, default_key_path, embed,
+                          load_key, metrics, quantize_u8, read_image, read_pgm,
                           write_float_image, write_pgm)
 from fresnelstego.cli import build_parser, cli_main
 from synth import textured_image
@@ -167,6 +169,11 @@ def test_data_errors_exit_two(workspace, capsys):
     write_pgm(textured_image(51, 4), workspace / "secret51.pgm")
     assert run("embed", "--host", odd_half, "--secret", workspace / "secret51.pgm",
                "--key", workspace / "desk.key", "--out", workspace / "o.fimg") == 2
+    # a 1x1 image is a fault in the data like a 2x3 one, not a bad spec
+    for shape in ((1, 1), (2, 3)):
+        write_pgm(np.zeros(shape), small)
+        for op in ("scramble", "unscramble"):
+            assert run("arnold", op, "--in", small, "--n", 1, "--out", workspace / "o.pgm") == 2
     assert capsys.readouterr().err != ""
 
 
@@ -186,6 +193,99 @@ def test_overflowing_data_exits_two(workspace, capsys):
     assert run("metrics", "--a", workspace / "scaled.fimg",
                "--b", workspace / "scaled.fimg") == 2
     assert "too large to score" in capsys.readouterr().err
+
+
+def _u8_inputs(side):
+    """(host, secret) of each kind of u8 embed input at one host side."""
+    host = textured_image(side, side + 1)
+    secret = textured_image(side // 2, side + 2, rolloff=6.0)
+    half = (side // 2, side // 2)
+    checker = np.indices((side, side)).sum(axis=0) % 2.0
+    return {
+        "ordinary": (host, secret),
+        "constant-host": (np.full((side, side), 128.0), secret),
+        "zero-host": (np.zeros((side, side)), secret),
+        "host-above-255": (host + 300.0, secret),
+        "negative-host": (-host, secret),
+        "host-at-1e-200": (1e-200 * host, secret),
+        "two-level-host-1e-170": (1e-170 * checker, secret),
+        "span-above-1e-60": (4e-60 / 255.0 * host, secret),
+        "span-below-1e-60": (2.5e-61 / 255.0 * host, secret),
+        "host-below-1e60": (0.99e60 / 255.0 * host, secret),
+        "host-above-1e60": (1.01e60 / 255.0 * host, secret),
+        "host-times-1e80": (1e80 * host, secret),
+        "secret-1e300": (host, np.full(half, 1e300)),
+        "secret-minus-1e300": (host, np.full(half, -1e300)),
+        "secret-near-1e60": (host, 1e58 * secret),
+        "zero-secret": (host, np.zeros(half)),
+    }
+
+
+U8_KINDS = tuple(_u8_inputs(8))
+
+
+# (exit code, file written) for one kind of each outcome: a constant host
+# fails embed's report; above 255 the written grid is constant and fails
+U8_OUTCOMES = {"ordinary": (0, True), "constant-host": (2, False),
+               "host-above-255": (2, True)}
+
+
+def _embed_then_compare(host_path, secret_path, key_path, out):
+    """The u8 command written as the library composes it: embed, with its
+    float report, then the written file scored against the host. Returns
+    (exit code, stdout, stderr)."""
+    try:
+        host = read_image(host_path)
+        result = embed(host, read_image(secret_path), load_key(key_path))
+        report = compare(host, write_pgm(result.embedded, out))
+    except ParameterError as exc:
+        return 3, "", f"error: {exc}\n"
+    except StegoError as exc:
+        return 2, "", f"error: {exc}\n"
+    lines = (f"{name} = {float(value)!r}\n" for name, value in asdict(report).items())
+    return 0, "".join(lines), ""
+
+
+@pytest.mark.parametrize("kind", U8_KINDS)
+def test_u8_embed_matches_embed_then_compare(workspace, capsys, kind):
+    # the exit code, stdout, stderr and the file, or its absence, on every path
+    for side in (8, 16, 64):
+        host, secret = _u8_inputs(side)[kind]
+        write_float_image(host, workspace / "h.fimg")
+        write_float_image(secret, workspace / "s.fimg")
+        inputs = (workspace / "h.fimg", workspace / "s.fimg", workspace / "default.key")
+        code = run("embed", "--host", inputs[0], "--secret", inputs[1], "--key", inputs[2],
+                   "--out", workspace / "cli.pgm", "--mode", "u8")
+        seen = capsys.readouterr()
+        expected = _embed_then_compare(*inputs, workspace / "ref.pgm")
+        assert (code, seen.out, seen.err) == expected, side
+        files = [path.read_bytes() if path.exists() else None
+                 for path in (workspace / "cli.pgm", workspace / "ref.pgm")]
+        assert files[0] == files[1], side
+        if kind in U8_OUTCOMES:
+            assert (code, files[0] is not None) == U8_OUTCOMES[kind], side
+        for path in (workspace / "cli.pgm", workspace / "ref.pgm"):
+            path.unlink(missing_ok=True)
+
+
+def test_embed_scores_once_in_either_mode(workspace, monkeypatch):
+    # the u8 command scores only the written grid; float mode only embed's
+    write_pgm(textured_image(64, 7), workspace / "h64.pgm")
+    write_pgm(textured_image(32, 8, rolloff=6.0), workspace / "s64.pgm")
+    calls = []
+    scores = metrics._scores
+
+    def counting_scores(*args, **kwargs):
+        calls.append(1)
+        return scores(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_scores", counting_scores)
+    for mode in ("float", "u8"):
+        calls.clear()
+        assert run("embed", "--host", workspace / "h64.pgm", "--secret", workspace / "s64.pgm",
+                   "--key", workspace / "default.key", "--out", workspace / "o.out",
+                   "--mode", mode) == 0
+        assert len(calls) == 1, mode
 
 
 def test_key_errors_exit_three(workspace, capsys):

@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from fresnelstego import (DEFAULT_C2, DataError, FresnelParams, ParameterError,
                           ShapeError, StegoKey, UndefinedCorrelationError, cc,
                           compare, embed, metrics, mse, psnr, psnr_from_mse, ssim)
-from fresnelstego.metrics import _scores
+from fresnelstego.metrics import _bounded, _compare, _scores
 from synth import textured_image
 
 
@@ -43,8 +44,11 @@ def test_psnr_frozen_value():
 
 
 def test_psnr_monotone_in_mse():
-    values = [psnr_from_mse(m) for m in (0.5, 1.0, 4.0, 65.0, 1000.0, 65025.0)]
+    # below 65025 / float max the ratio overflows, but the score stays finite
+    values = [psnr_from_mse(m) for m in (1e-310, 1e-305, 1e-300, 0.5, 1.0, 4.0, 65.0,
+                                         1000.0, 65025.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
+    assert values[0] == pytest.approx(10.0 * (math.log10(65025.0) + 310.0))
 
 
 def test_psnr_rejects_negative_mse():
@@ -258,6 +262,78 @@ def test_every_layout_scores_as_its_row_major_copy():
         cx, cy = np.ascontiguousarray(x), np.ascontiguousarray(y)
         assert _scores(x, y) == _scores(cx, cy)
         assert compare(x, y) == compare(cx, cy)
+
+
+def _within(g):
+    # the bound stated on the samples: all within +-1e60, max - min >= 1e-60
+    return float(np.abs(g).max()) <= 1e60 and float(np.ptp(g)) >= 1e-60
+
+
+def _at_least_span(lo):
+    # lo and the nearest float at least 1e-60 above it
+    hi = lo + 1e-60
+    while hi - lo < 1e-60:
+        hi = np.nextafter(hi, math.inf)
+    return lo, hi
+
+
+# (min, max) of a grid within the bound: wide spans, the extremes themselves,
+# and spans of exactly 1e-60 at offsets near zero
+_SPANS = st.one_of(
+    st.tuples(st.floats(-1e60, 1e60), st.floats(-1e60, 1e60)).map(sorted).filter(
+        lambda ends: ends[1] - ends[0] >= 1e-60),
+    st.sampled_from([(-1e60, 1e60), (0.0, 1e60), (-1e60, 0.0), (0.0, 1e-60),
+                     (-1e-60, 0.0), (5e-324, 1e-60), (-1e-60, -5e-324)]),
+    st.floats(-1e-58, 1e-58).map(_at_least_span))
+
+
+@st.composite
+def _grid_within(draw, shape):
+    lo, hi = draw(_SPANS)
+    size = shape[0] * shape[1]
+    samples = draw(st.lists(st.floats(lo, hi), min_size=size - 2, max_size=size - 2))
+    return np.array(draw(st.permutations([lo, hi, *samples]))).reshape(shape)
+
+
+@st.composite
+def _pairs_within(draw):
+    shape = draw(st.sampled_from([(1, 2), (2, 2), (3, 5), (8, 8)]))
+    a = draw(_grid_within(shape))
+    how = draw(st.sampled_from(("independent", "offset", "equal")))
+    if how == "independent":
+        return a, draw(_grid_within(shape))
+    if how == "offset":  # b's span may round below 1e-60: then the bound fails
+        return a, a + draw(st.floats(-1e-40, 1e-40))
+    return a, a.copy()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_pairs_within())
+def test_bound_rules_out_every_compare_error(pair):
+    a, b = pair
+    within = _within(a) and _within(b)
+    assert _bounded(a, b) == within
+    if within:
+        report = _compare(a, b)
+        fields = asdict(report)
+        del fields["psnr_db"]
+        assert all(map(math.isfinite, fields.values())), report
+        assert math.isfinite(report.psnr_db) or report.mse == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pair=_pairs_within(), which=st.integers(0, 1), at=st.integers(0, 63),
+       beyond=st.one_of(st.just(1e61), st.floats(1e61, 1e308)), sign=st.sampled_from((1, -1)),
+       constant=st.booleans())
+def test_bound_fails_beyond_1e60_or_for_a_constant_grid(pair, which, at, beyond, sign,
+                                                       constant):
+    grids = [g.copy() for g in pair]
+    g = grids[which]
+    if constant:
+        g[...] = g.flat[at % g.size]
+    else:
+        g.flat[at % g.size] = sign * beyond
+    assert not _bounded(*grids)
 
 
 def test_scores_keep_no_input_alive():
