@@ -7,10 +7,11 @@ correlation, OS errors), 3 invalid key material or parameters.
 Outputs are deterministic: the same inputs and flags produce byte-identical
 files and stdout on every run.
 
-embed --mode u8 reports on the quantized grid it writes, not on the float
-embedded image. It computes embed's float report only when
-metrics._bounded cannot rule out an error in it, and only to raise that
-error, before the file is written, as embed would.
+embed and extract pass the grids read_image returns to the private cores
+stego_pipeline._embed and _extract, so each input is checked once, by
+its reader. embed --mode u8 reports on the quantized grid it writes; it
+computes the float report only when metrics._bounded cannot rule out an
+error in it, and only to raise that error before the file is written.
 
 cli_main builds its argparse parser once per process and reuses it:
 parse_args writes only into a fresh Namespace, and each subcommand's
@@ -32,7 +33,7 @@ from .errors import ParameterError, ShapeError, StegoError
 from .formats import (load_key, quantize_u8, read_image, write_float_image,
                       write_image, write_pgm)
 from .metrics import MetricsReport, _bounded, _compare, compare
-from .stego_pipeline import _embed, embed, extract
+from .stego_pipeline import _embed, _extract
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,27 +118,21 @@ def _print_report(report: MetricsReport) -> None:
 
 def _cmd_embed(args) -> int:
     host = read_image(args.host)
-    secret = read_image(args.secret)
-    key = load_key(args.key)
+    embedded = _embed(host, read_image(args.secret), load_key(args.key))
     if args.mode == "u8":
-        host_grid, embedded = _embed(host, secret, key)
-        if not _bounded(host_grid, embedded):  # raise before the write where embed would
-            _compare(host_grid, embedded)
-        # report what the written file actually holds
-        report = _compare(host_grid, write_pgm(embedded, args.out))
+        if not _bounded(host, embedded):  # raise before the write where embed would
+            _compare(host, embedded)
+        report = _compare(host, write_pgm(embedded, args.out))
     else:
-        result = embed(host, secret, key)
-        write_float_image(result.embedded, args.out)
-        report = result.report
+        report = _compare(host, embedded)
+        write_float_image(embedded, args.out)
     _print_report(report)
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
     embedded = read_image(args.embedded)
-    host = read_image(args.host)
-    key = load_key(args.key)
-    write_image(extract(embedded, host, key), args.out)
+    write_image(_extract(embedded, read_image(args.host), load_key(args.key)), args.out)
     return EXIT_OK
 
 

@@ -97,12 +97,9 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     return propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel)
 
 
-def _embed(host, secret, key: StegoKey):
-    """embed without its report: (host_grid, embedded), the checked host and
-    the float embedded image. The u8 CLI scores the quantized grid instead."""
-    host_grid = checked_square(as_image(host), "host", 4)
-    secret_grid = as_image(secret)
-    side = host_grid.shape[0]
+def _embed(host_grid: ImageGrid, secret_grid: ImageGrid, key: StegoKey) -> ImageGrid:
+    """embed's core for checked grids: the shape rules, then the embedded image."""
+    side = checked_square(host_grid, "host", 4).shape[0]
     expected = (side // 2, side // 2)
     if secret_grid.shape != expected:
         raise ShapeError(
@@ -114,28 +111,33 @@ def _embed(host, secret, key: StegoKey):
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
     embedded = host_grid + 0.0
     np.add(payload, lattice(host_grid), out=lattice(embedded))
-    return host_grid, embedded
+    return embedded
 
 
 def embed(host, secret, key: StegoKey) -> EmbedResult:
     """Hide secret inside host. The host must be square with a side
     divisible by 4 and the secret square with half that side. Returns the
     float embedded image plus a quality report against the original host."""
-    host_grid, embedded = _embed(host, secret, key)
+    host_grid = as_image(host)
+    embedded = _embed(host_grid, as_image(secret), key)
     return EmbedResult(embedded, _compare(host_grid, embedded))
 
 
-def extract(embedded, host, key: StegoKey) -> ImageGrid:
-    """Recover the hidden image from an embedded image given the original
-    host and the exact key."""
-    embedded_grid = checked_square(as_image(embedded), "embedded image", 4)
-    host_grid = checked_square(as_image(host), "host", 4)
+def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey) -> ImageGrid:
+    """extract's core for checked grids: the shape and strength rules, then the recovery."""
+    checked_square(embedded_grid, "embedded image", 4)
+    side = checked_square(host_grid, "host", 4).shape[0]
     if embedded_grid.shape != host_grid.shape:
         raise ShapeError(
             f"shape mismatch: embedded {embedded_grid.shape} vs host {host_grid.shape}")
     if key.strength == 0.0:
         raise ParameterError("strength must be positive for extraction")
 
-    side = host_grid.shape[0]
     lattice = _layout(side, key.arnold_iterations)[0]
     return np.abs(_field(lattice(embedded_grid) - lattice(host_grid), key, side))
+
+
+def extract(embedded, host, key: StegoKey) -> ImageGrid:
+    """Recover the hidden image from an embedded image given the original
+    host and the exact key."""
+    return _extract(as_image(embedded), as_image(host), key)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fresnelstego import (ParameterError, StegoError, compare, default_key_path, embed,
-                          load_key, metrics, quantize_u8, read_image, read_pgm,
-                          write_float_image, write_pgm)
+                          extract, load_key, metrics, quantize_u8, read_image, read_pgm,
+                          write_float_image, write_image, write_pgm)
 from fresnelstego.cli import build_parser, cli_main
+from fresnelstego.numerics import as_image
 from synth import textured_image
 
 DESK_KEY_TEXT = """\
@@ -230,42 +231,76 @@ U8_OUTCOMES = {"ordinary": (0, True), "constant-host": (2, False),
                "host-above-255": (2, True)}
 
 
-def _embed_then_compare(host_path, secret_path, key_path, out):
-    """The u8 command written as the library composes it: embed, with its
-    float report, then the written file scored against the host. Returns
-    (exit code, stdout, stderr)."""
+def _as_command(flow, *args):
+    """flow(*args) with its outcome mapped as the CLI maps it: (exit code,
+    stdout, stderr), the report flow returns, if any, printed as the CLI
+    prints one."""
     try:
-        host = read_image(host_path)
-        result = embed(host, read_image(secret_path), load_key(key_path))
-        report = compare(host, write_pgm(result.embedded, out))
+        report = flow(*args)
     except ParameterError as exc:
         return 3, "", f"error: {exc}\n"
     except StegoError as exc:
         return 2, "", f"error: {exc}\n"
-    lines = (f"{name} = {float(value)!r}\n" for name, value in asdict(report).items())
-    return 0, "".join(lines), ""
+    fields = asdict(report).items() if report is not None else ()
+    return 0, "".join(f"{name} = {float(value)!r}\n" for name, value in fields), ""
+
+
+def _embed_then_write(host_path, secret_path, key_path, out, mode):
+    """embed as the library composes it: embed, with its float report, then
+    the writer; the u8 command reports the written file scored against the
+    host instead."""
+    host = read_image(host_path)
+    result = embed(host, read_image(secret_path), load_key(key_path))
+    if mode == "u8":
+        return compare(host, write_pgm(result.embedded, out))
+    write_float_image(result.embedded, out)
+    return result.report
+
+
+def _extract_then_write(embedded_path, host_path, key_path, out):
+    recovered = extract(read_image(embedded_path), read_image(host_path), load_key(key_path))
+    write_image(recovered, out)
+
+
+def _contents(*paths):
+    """Each file's bytes, or None where there is no file; the files are removed."""
+    found = [path.read_bytes() if path.exists() else None for path in paths]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    return found
 
 
 @pytest.mark.parametrize("kind", U8_KINDS)
 def test_u8_embed_matches_embed_then_compare(workspace, capsys, kind):
-    # the exit code, stdout, stderr and the file, or its absence, on every path
+    # the exit code, stdout, stderr and the file, or its absence, on every
+    # path, in either mode; a float file is extracted by the command and by
+    # the library, and the two recoveries compared the same way
     for side in (8, 16, 64):
         host, secret = _u8_inputs(side)[kind]
         write_float_image(host, workspace / "h.fimg")
         write_float_image(secret, workspace / "s.fimg")
         inputs = (workspace / "h.fimg", workspace / "s.fimg", workspace / "default.key")
-        code = run("embed", "--host", inputs[0], "--secret", inputs[1], "--key", inputs[2],
-                   "--out", workspace / "cli.pgm", "--mode", "u8")
-        seen = capsys.readouterr()
-        expected = _embed_then_compare(*inputs, workspace / "ref.pgm")
-        assert (code, seen.out, seen.err) == expected, side
-        files = [path.read_bytes() if path.exists() else None
-                 for path in (workspace / "cli.pgm", workspace / "ref.pgm")]
-        assert files[0] == files[1], side
-        if kind in U8_OUTCOMES:
-            assert (code, files[0] is not None) == U8_OUTCOMES[kind], side
-        for path in (workspace / "cli.pgm", workspace / "ref.pgm"):
-            path.unlink(missing_ok=True)
+        for mode in ("u8", "float"):
+            outs = (workspace / f"cli.{mode}", workspace / f"ref.{mode}")
+            code = run("embed", "--host", inputs[0], "--secret", inputs[1], "--key", inputs[2],
+                       "--out", outs[0], "--mode", mode)
+            seen = capsys.readouterr()
+            expected = _as_command(_embed_then_write, *inputs, outs[1], mode)
+            assert (code, seen.out, seen.err) == expected, (side, mode)
+            if mode == "float" and outs[0].exists():
+                recs = (workspace / "cli.rec", workspace / "ref.rec")
+                code = run("extract", "--embedded", outs[0], "--host", inputs[0],
+                           "--key", inputs[2], "--out", recs[0])
+                seen = capsys.readouterr()
+                expected = _as_command(_extract_then_write, outs[1], inputs[0], inputs[2],
+                                       recs[1])
+                assert (code, seen.out, seen.err) == expected, (side, "extract")
+                files = _contents(*recs)
+                assert files[0] == files[1], (side, "extract")
+            files = _contents(*outs)
+            assert files[0] == files[1], (side, mode)
+            if mode == "u8" and kind in U8_OUTCOMES:
+                assert (code, files[0] is not None) == U8_OUTCOMES[kind], side
 
 
 def test_embed_scores_once_in_either_mode(workspace, monkeypatch):
@@ -286,6 +321,41 @@ def test_embed_scores_once_in_either_mode(workspace, monkeypatch):
                    "--key", workspace / "default.key", "--out", workspace / "o.out",
                    "--mode", mode) == 0
         assert len(calls) == 1, mode
+
+
+def test_commands_scan_each_grid_once(workspace, monkeypatch):
+    # the benchmark's flow, PGM host and secret and a float embedded file:
+    # the commands trust the grids read_image returns, so embed scans only
+    # the grid it writes, and extract the embedded file as it is read,
+    # propagate's guard on the field and the grid it writes
+    write_pgm(textured_image(64, 7), workspace / "h64.pgm")
+    write_pgm(textured_image(32, 8, rolloff=6.0), workspace / "s64.pgm")
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        scanned.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    for mode in ("u8", "float"):
+        scanned.clear()
+        assert run("embed", "--host", workspace / "h64.pgm", "--secret", workspace / "s64.pgm",
+                   "--key", workspace / "default.key", "--out", workspace / "e.out",
+                   "--mode", mode) == 0
+        assert scanned == [(64, 64)], mode
+    scanned.clear()
+    assert run("extract", "--embedded", workspace / "e.out", "--host", workspace / "h64.pgm",
+               "--key", workspace / "default.key", "--out", workspace / "r.fimg") == 0
+    assert sorted(scanned) == [(32, 32), (32, 32), (64, 64)]
+
+
+def test_readers_return_checked_grids(workspace):
+    # what the commands rely on: as_image hands a read grid back unchanged
+    write_float_image(textured_image(8, 1), workspace / "g.fimg")
+    for path in (workspace / "host.pgm", workspace / "g.fimg"):
+        grid = read_image(path)
+        assert as_image(grid) is grid, path.name
 
 
 def test_key_errors_exit_three(workspace, capsys):

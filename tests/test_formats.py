@@ -304,6 +304,9 @@ def test_default_key_file_parses():
     assert key.fresnel.distance == 2.0
     assert key.arnold_iterations == 12
     assert key.strength == 0.08
+    # the comments carry no key material
+    assert key == parse_key_text("wavelength_nm = 632.8\npitch_nm = 10\ndistance_cm = 200\n"
+                                 "arnold_iterations = 12\nstrength = 0.08\n")
 
 
 def test_key_rejects_missing_and_unknown_names():

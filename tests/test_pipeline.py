@@ -264,6 +264,15 @@ def test_bad_secret_samples_are_data_errors():
             embed(host, bad, DESK_KEY)
 
 
+def test_samples_are_checked_before_shapes():
+    # a grid's bad samples outrank another grid's wrong shape
+    nan_grid = np.full((8, 8), np.nan)
+    with pytest.raises(DataError):
+        embed(np.zeros((6, 6)), nan_grid[:3, :3], DESK_KEY)
+    with pytest.raises(DataError):
+        extract(np.zeros((6, 6)), nan_grid, DESK_KEY)
+
+
 def test_non_numeric_host_is_a_data_error():
     host, secret = small_pair()
     with pytest.raises(DataError, match="cannot convert grid samples"):
