@@ -1,0 +1,64 @@
+"""The four orthonormal transforms the package runs, straight from
+scipy's compiled pocketfft core.
+
+Importing scipy.fft costs about 0.3 s, mostly scipy.special and scipy's
+array-API layer, none of which the package calls; the extension itself
+loads in a few milliseconds. It is loaded here by path under its real
+name, or reused if scipy.fft already loaded it, so both share one
+module; if scipy.fft comes later, its modules find this one in
+sys.modules, though the package scipy.fft._pocketfft then lacks the
+attribute pypocketfft, which scipy only reads through from-imports.
+Each function makes exactly the pocketfft calls scipy.fft's
+numpy backend makes for norm="ortho" over axes (0, 1) at one thread, so
+the bits are the same. None of them checks its input.
+"""
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import numpy as np
+import scipy
+
+_NAME = "scipy.fft._pocketfft.pypocketfft"
+_AXES = (0, 1)
+
+_pocketfft = sys.modules.get(_NAME)
+if _pocketfft is None:
+    _spec = importlib.machinery.PathFinder.find_spec(
+        _NAME, [os.path.join(scipy.__path__[0], "fft", "_pocketfft")])
+    _pocketfft = sys.modules[_NAME] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_pocketfft)
+
+
+def fft2(a: np.ndarray) -> np.ndarray:
+    """Into a new complex grid; a real grid takes the real-input path."""
+    return _pocketfft.c2c(a, _AXES, True, 1, None, 1)
+
+
+def ifft2(a: np.ndarray) -> np.ndarray:
+    """In place on a complex grid; returns a."""
+    return _pocketfft.c2c(a, _AXES, False, 1, a, 1)
+
+
+def _dct(a: np.ndarray, kind: int, overwrite: bool) -> np.ndarray:
+    out = a if overwrite else None
+    if a.dtype.kind != "c":
+        return _pocketfft.dct(a, kind, _AXES, 1, out, 1)
+    if out is None:
+        out = np.empty_like(a)
+    _pocketfft.dct(a.real, kind, _AXES, 1, out.real, 1)
+    _pocketfft.dct(a.imag, kind, _AXES, 1, out.imag, 1)
+    return out
+
+
+def dctn(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """DCT-II, of a complex grid part by part; with overwrite, in place."""
+    return _dct(a, 2, overwrite)
+
+
+def idctn(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """DCT-III, the inverse of dctn."""
+    return _dct(a, 3, overwrite)

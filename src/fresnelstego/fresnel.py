@@ -16,8 +16,8 @@ of (l, k): one exponential serves each symmetric pair. The last factor
 built is kept, read-only, as its first N//2 + 1 rows with the columns
 mirrored, 16 * (N//2 + 1) * N bytes; it scales the spectrum's upper rows
 in place, and its rows in reverse order the lower ones. A real field
-takes scipy.fft's real-input FFT. Any square side works, odd ones
-included: the orthonormal DFT is unitary at every size.
+takes pocketfft's real-input FFT (see _fft). Any square side works, odd
+ones included: the orthonormal DFT is unitary at every size.
 
 propagate and propagate_inverse check their field once; the core they
 share, _filter, checks nothing, and stego_pipeline._forward and
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
+from . import _fft
 from .errors import ParameterError
 from .numerics import ComplexGrid, as_grid, checked_real, checked_square
 
@@ -89,10 +89,10 @@ def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
     if inverse:
         q = np.conj(q)  # exp(i * phase), exactly
     h = len(q)
-    spectrum = scipy.fft.fft2(f, norm="ortho")
+    spectrum = _fft.fft2(f)
     spectrum[:h] *= q
     spectrum[h:] *= q[side - h:0:-1]
-    return scipy.fft.ifft2(spectrum, norm="ortho", overwrite_x=True)
+    return _fft.ifft2(spectrum)
 
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:

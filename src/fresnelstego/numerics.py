@@ -8,10 +8,11 @@ limits.
 A public function checks each grid it is given once, the samples of all
 its grids before any shape rule, so bad samples raise DataError beside a
 wrong shape too. Private cores take grids their caller has checked:
-fresnel._filter, stego_pipeline's _forward, _field, _embed and _extract,
-and metrics._compare. _field keeps the public propagate: its scaled
-difference overflows for a tiny strength, and propagate's finite check
-makes that a DataError.
+the four transforms in _fft, fresnel._filter, stego_pipeline's
+_forward, _field, _embed, _extract and the matvec and rmatvec of
+_operator, and metrics._compare. _field keeps the public propagate: its
+scaled difference overflows for a tiny strength, and propagate's finite
+check makes that a DataError.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields; ImageGrid and ComplexGrid are documentation aliases.

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
+from ._fft import dctn, idctn
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, _filter, propagate
@@ -75,7 +75,7 @@ def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
     (1 + i) * idct2(propagate_inverse(secret)), the secret being real and
     the factor even. unscramble(D) is zero off one lattice fixed by n mod 3
     (arnold's parity rule); arnold._layout gives the order within it."""
-    coded = idctn(_filter(secret_grid, key.fresnel, True), norm="ortho", overwrite_x=True)
+    coded = idctn(_filter(secret_grid, key.fresnel, True), overwrite=True)
     coded *= (1 + 1j) * key.strength
     return coded.view(np.float64).ravel()[_layout(side, key.arnold_iterations)[1]]
 
@@ -94,7 +94,39 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w /= np.sqrt(2.0) * key.strength
     w = w.reshape(side // 2, side).view(np.complex128)
-    return propagate(dctn(w, norm="ortho", overwrite_x=True), key.fresnel)
+    return propagate(dctn(w, overwrite=True), key.fresnel)
+
+
+def _operator(key: StegoKey, side: int, mask=None):
+    """A for a side x side host as a scipy.sparse.linalg.LinearOperator on
+    flat vectors, so that a reader is a solver call such as lsqr (Paige &
+    Saunders, ACM TOMS 1982): matvec is _forward of a side/2 x side/2
+    secret, rmatvec is A^T of a vector in the lattice's shape. A boolean
+    mask in that shape keeps only the lattice samples it marks."""
+    # a cold import costs about 0.4 s, so the package import never pays it
+    from scipy.sparse.linalg import LinearOperator
+
+    if key.strength == 0.0:
+        raise ParameterError("strength must be positive for extraction")
+    half = side // 2
+    shape = _layout(side, key.arnold_iterations)[1].shape
+    rows = half * side if mask is None else int(np.count_nonzero(mask))
+
+    def matvec(x):
+        y = _forward(x.reshape(half, half), key, side)
+        return y.ravel() if mask is None else y[mask]
+
+    def rmatvec(y):
+        if mask is None:
+            y = y.reshape(shape)
+        else:
+            y, masked = np.zeros(shape), y
+            y[mask] = masked.ravel()
+        field = _field(y, key, side)
+        return 2 * key.strength ** 2 * (np.exp(-1j * np.pi / 4) * field).real.ravel()
+
+    return LinearOperator((rows, half * half), matvec=matvec, rmatvec=rmatvec,
+                          dtype=np.float64)
 
 
 def _embed(host_grid: ImageGrid, secret_grid: ImageGrid, key: StegoKey) -> ImageGrid:

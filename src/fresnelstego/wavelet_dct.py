@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
+from ._fft import dctn, idctn
 from .errors import ShapeError
 from .numerics import ImageGrid, as_grid, as_image
 
@@ -69,9 +69,9 @@ def idwt2(bands) -> np.ndarray:
 
 def dct2(img) -> ImageGrid:
     """Orthonormal 2-D DCT-II over the whole grid. Any rectangle works."""
-    return dctn(as_image(img), type=2, norm="ortho")
+    return dctn(as_image(img))
 
 
 def idct2(coeffs) -> ImageGrid:
     """Exact inverse of dct2 (orthonormal DCT-III)."""
-    return idctn(as_image(coeffs), type=2, norm="ortho")
+    return idctn(as_image(coeffs))

@@ -1,0 +1,124 @@
+"""The package's transforms load scipy's pocketfft core without the
+scipy.fft package, and give scipy.fft's bits."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.fft
+
+import fresnelstego
+from fresnelstego import _fft, dct2, idct2
+from fresnelstego.numerics import as_image
+
+SRC = str(Path(fresnelstego.__file__).resolve().parents[1])
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    run_python(f"""
+import sys
+import fresnelstego, fresnelstego.cli
+loaded = [name for name in ("scipy.fft", "scipy.special", "scipy.sparse") if name in sys.modules]
+assert not loaded, loaded
+assert {POCKETFFT!r} in sys.modules
+""")
+
+
+@pytest.mark.parametrize("first", ["scipy.fft", "fresnelstego"])
+def test_one_pocketfft_module_in_either_import_order(first):
+    # scipy.fft's own transforms call the very module _fft calls, and give its bits
+    second = "fresnelstego" if first == "scipy.fft" else "scipy.fft"
+    run_python(f"""
+import sys
+import numpy as np
+import {first}
+import {second}
+import scipy.fft
+from fresnelstego import _fft
+from scipy.fft._pocketfft import basic, realtransforms
+module = sys.modules[{POCKETFFT!r}]
+assert _fft._pocketfft is module
+assert basic.pfft is module and realtransforms.pfft is module
+x = np.random.default_rng(0).standard_normal((8, 6))
+assert scipy.fft.fft2(x, norm="ortho").tobytes() == _fft.fft2(x).tobytes()
+assert scipy.fft.dctn(x, norm="ortho").tobytes() == _fft.dctn(x).tobytes()
+""")
+
+
+def grids(side, seed):
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((side, side))
+    return real, real + 1j * rng.standard_normal((side, side))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_scipy(a):
+    assert_same_bits(_fft.fft2(a), scipy.fft.fft2(a, norm="ortho"))
+    assert_same_bits(_fft.dctn(a), scipy.fft.dctn(a, norm="ortho"))
+    assert_same_bits(_fft.idctn(a), scipy.fft.idctn(a, norm="ortho"))
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 7, 64])
+def test_transforms_match_scipy_fft_bit_for_bit(side):
+    for a in grids(side, side):
+        assert_matches_scipy(a)
+        for ours, theirs in ((_fft.dctn, scipy.fft.dctn), (_fft.idctn, scipy.fft.idctn)):
+            expected = theirs(a, norm="ortho")
+            b = a.copy()
+            assert ours(b, overwrite=True) is b
+            assert_same_bits(b, expected)
+    c = grids(side, side)[1]
+    expected = scipy.fft.ifft2(c, norm="ortho")
+    assert _fft.ifft2(c) is c
+    assert_same_bits(c, expected)
+
+
+def test_rectangle_through_dct2_and_idct2():
+    img = np.random.default_rng(3).uniform(0, 255, size=(6, 10))
+    assert_same_bits(dct2(img), scipy.fft.dctn(img, type=2, norm="ortho"))
+    assert_same_bits(idct2(img), scipy.fft.idctn(img, type=2, norm="ortho"))
+
+
+def test_strided_views():
+    for big in grids(40, 5):
+        view = big[1::3, ::2]
+        assert not view.flags.c_contiguous
+        assert_matches_scipy(view)
+        expected = scipy.fft.dctn(view, norm="ortho")
+        b = big.copy()[1::3, ::2]
+        assert _fft.dctn(b, overwrite=True) is b
+        assert_same_bits(b, expected)
+
+
+def unaligned_copy(a):
+    out = np.zeros(a.nbytes + 1, np.uint8)[1:].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert not out.flags.aligned
+    return out
+
+
+def test_unaligned_buffers():
+    for a in grids(16, 6):
+        assert_matches_scipy(unaligned_copy(a))
+        assert_same_bits(_fft.fft2(unaligned_copy(a)), _fft.fft2(a))
+    # as_image hands such a buffer on uncopied, so dct2 transforms it as it is
+    real = grids(16, 6)[0]
+    buffer = unaligned_copy(real)
+    assert as_image(buffer) is buffer
+    assert_same_bits(dct2(buffer), scipy.fft.dctn(real, norm="ortho"))
+    assert_same_bits(idct2(buffer), scipy.fft.idctn(real, norm="ortho"))

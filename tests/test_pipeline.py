@@ -13,7 +13,8 @@ from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           fresnelet_synthesize, idct2, idwt2, mse, period,
                           propagate, propagate_inverse, psnr, quantize_u8,
                           scramble, unscramble)
-from fresnelstego.stego_pipeline import _field, _forward
+from fresnelstego.arnold import _layout
+from fresnelstego.stego_pipeline import _field, _forward, _operator
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -384,6 +385,51 @@ def test_forward_and_field_are_an_operator_pair(side, steps, distance, strength,
             <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y))
     assert (np.max(np.abs(_field(ax, key, side) - (1 + 1j) / np.sqrt(2) * x))
             <= 1e-12 * np.max(np.abs(x)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(1, 32).map(lambda k: 4 * k),
+       steps=st.integers(0, 300),
+       distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       strength=st.floats(1e-3, 2.0),
+       masked=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_operator_matvec_and_rmatvec_are_adjoint(side, steps, distance, strength, masked,
+                                                 seed):
+    key = StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, strength)
+    rng = np.random.default_rng(seed)
+    mask = rng.random(_layout(side, steps)[1].shape) < 0.7 if masked else None
+    a = _operator(key, side, mask)
+    x = rng.standard_normal(a.shape[1])
+    y = rng.standard_normal(a.shape[0])
+    ax = a.matvec(x)
+    assert ax.shape == y.shape
+    assert (abs(np.vdot(ax, y) - np.vdot(x, a.rmatvec(y)))
+            <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(4, 16).map(lambda k: 4 * k),
+       steps=st.integers(0, 300),
+       distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       strength=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_lsqr_from_zero_recovers_a_float_embed(side, steps, distance, strength, seed):
+    # the difference on the lattice is A x exactly, so a least-squares solve
+    # over the operator, with no start, returns the secret
+    from scipy.sparse.linalg import lsqr
+    key = StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, strength)
+    host = textured_image(side, seed)
+    secret = textured_image(side // 2, seed + 1, rolloff=6.0)
+    embedded = embed(host, secret, key).embedded
+    lattice = _layout(side, steps)[0]
+    solved = lsqr(_operator(key, side), (lattice(embedded) - lattice(host)).ravel())[0]
+    assert cc(solved.reshape(secret.shape), secret) >= 0.999
+
+
+def test_operator_needs_a_positive_strength():
+    with pytest.raises(ParameterError):
+        _operator(StegoKey(DESK_KEY.fresnel, 12, 0.0), 16)
 
 
 # host sides divisible by 4, powers of two or not, each with steps in 0...3 * period(side)
