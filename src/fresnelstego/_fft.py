@@ -3,14 +3,18 @@ scipy's compiled pocketfft core.
 
 Importing scipy.fft costs about 0.3 s, mostly scipy.special and scipy's
 array-API layer, none of which the package calls; the extension itself
-loads in a few milliseconds. It is loaded here by path under its real
-name, or reused if scipy.fft already loaded it, so both share one
-module; if scipy.fft comes later, its modules find this one in
-sys.modules, though the package scipy.fft._pocketfft then lacks the
-attribute pypocketfft, which scipy only reads through from-imports.
-Each function makes exactly the pocketfft calls scipy.fft's
-numpy backend makes for norm="ortho" over axes (0, 1) at one thread, so
-the bits are the same. None of them checks its input.
+loads in a few milliseconds. Nor is scipy itself imported: find_spec
+locates its directory without running scipy's __init__, which took
+13-15 ms under -X importtime only to give that path. If scipy or the
+extension is not found, importing the package raises ImportError. The
+extension is loaded by path under its real name, or reused if scipy.fft
+already loaded it, so both share one module; if scipy.fft comes later,
+its modules find this one in sys.modules, though the package
+scipy.fft._pocketfft then lacks the attribute pypocketfft, which scipy
+only reads through from-imports. Each function makes exactly the
+pocketfft calls scipy.fft's numpy backend makes for norm="ortho" over
+axes (0, 1) at one thread, so the bits are the same. None of them
+checks its input.
 """
 from __future__ import annotations
 
@@ -20,15 +24,18 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 _NAME = "scipy.fft._pocketfft.pypocketfft"
 _AXES = (0, 1)
 
 _pocketfft = sys.modules.get(_NAME)
 if _pocketfft is None:
-    _spec = importlib.machinery.PathFinder.find_spec(
-        _NAME, [os.path.join(scipy.__path__[0], "fft", "_pocketfft")])
+    _scipy = importlib.util.find_spec("scipy")
+    _spec = _scipy and importlib.machinery.PathFinder.find_spec(
+        _NAME, [os.path.join(_scipy.submodule_search_locations[0], "fft", "_pocketfft")])
+    if _spec is None:
+        raise ImportError(f"fresnelstego needs scipy's compiled pocketfft core, {_NAME}, "
+                          "and it was not found", name=_NAME)
     _pocketfft = sys.modules[_NAME] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(_pocketfft)
 

@@ -82,8 +82,10 @@ def _half(side: int, params: FresnelParams) -> np.ndarray:
 def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
-        # degenerate case is bit-exact, not merely close
-        return f.astype(np.complex128)
+        # degenerate case is bit-exact, not merely close. A C-ordered copy,
+        # as the FFT's result is: stego_pipeline._forward transforms it in
+        # place and reads it through a float64 view
+        return f.astype(np.complex128, order="C")
     side = f.shape[0]
     q = _half(side, params)
     if inverse:

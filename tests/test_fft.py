@@ -25,20 +25,59 @@ def run_python(code):
     assert done.returncode == 0, done.stderr
 
 
-def test_import_leaves_scipy_fft_unloaded():
+def test_import_leaves_scipy_fft_unloaded(tmp_path):
+    # scipy's own init does not run either, and a float embed and extract
+    # through the CLI load nothing more of it
     run_python(f"""
 import sys
 import fresnelstego, fresnelstego.cli
-loaded = [name for name in ("scipy.fft", "scipy.special", "scipy.sparse") if name in sys.modules]
-assert not loaded, loaded
-assert {POCKETFFT!r} in sys.modules
+def check():
+    loaded = [name for name in ("scipy", "scipy.fft", "scipy.special", "scipy.sparse")
+              if name in sys.modules]
+    assert not loaded, loaded
+    assert {POCKETFFT!r} in sys.modules
+check()
+import numpy as np
+from fresnelstego import default_key_path, write_pgm
+rng = np.random.default_rng(0)
+d = {str(tmp_path)!r}
+write_pgm(rng.integers(0, 256, (16, 16)), d + "/host.pgm")
+write_pgm(rng.integers(0, 256, (8, 8)), d + "/secret.pgm")
+key = str(default_key_path())
+assert fresnelstego.cli.cli_main(["embed", "--host", d + "/host.pgm", "--secret",
+    d + "/secret.pgm", "--key", key, "--out", d + "/embedded.fimg"]) == 0
+assert fresnelstego.cli.cli_main(["extract", "--embedded", d + "/embedded.fimg", "--host",
+    d + "/host.pgm", "--key", key, "--out", d + "/secret.fimg"]) == 0
+check()
 """)
 
 
-@pytest.mark.parametrize("first", ["scipy.fft", "fresnelstego"])
-def test_one_pocketfft_module_in_either_import_order(first):
-    # scipy.fft's own transforms call the very module _fft calls, and give its bits
-    second = "fresnelstego" if first == "scipy.fft" else "scipy.fft"
+def test_missing_scipy_or_pocketfft_is_a_named_import_error(tmp_path):
+    # hidden scipy, then a scipy package without the compiled core
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    for hide in ('sys.modules["scipy"] = None', f"sys.path.insert(0, {str(tmp_path)!r})"):
+        run_python(f"""
+import sys
+{hide}
+try:
+    import fresnelstego
+except ImportError as exc:
+    assert exc.name == {POCKETFFT!r} and {POCKETFFT!r} in str(exc), repr(exc)
+else:
+    raise AssertionError("imported without pocketfft")
+""")
+
+
+@pytest.mark.parametrize("first, second", [
+    pytest.param("scipy.fft", "fresnelstego", id="scipy.fft"),
+    pytest.param("fresnelstego", "scipy.fft", id="fresnelstego"),
+    pytest.param("scipy", "fresnelstego", id="scipy"),
+    pytest.param("fresnelstego", "scipy.sparse.linalg",
+                 id="fresnelstego-scipy.sparse.linalg")])
+def test_one_pocketfft_module_in_either_import_order(first, second):
+    # scipy.fft's own transforms call the very module _fft calls, and give its
+    # bits, whether scipy's init runs before the extension is loaded or after
     run_python(f"""
 import sys
 import numpy as np

@@ -73,14 +73,13 @@ def test_inverse_is_conjugate_for_real_input():
 def test_zero_distance_is_exact_identity():
     p = FresnelParams(wavelength=632.8e-9, distance=0.0, pitch=10e-9)
     f = random_field(64, 3)
-    out = propagate(f, p)
-    assert np.array_equal(out, f)
-    assert out is not f
-    assert np.array_equal(propagate_inverse(f, p), f)
-    # a real field comes back as an equal complex128 copy
-    for out in (propagate(f.real, p), propagate_inverse(f.real, p)):
-        assert out.dtype == np.complex128
-        assert np.array_equal(out, f.real)
+    assert propagate(f, p) is not f
+    # a real field comes back as an equal complex128 copy, and every field
+    # C-ordered, as the FFT path returns it
+    for g in (f, f.real, np.asfortranarray(f)):
+        for out in (propagate(g, p), propagate_inverse(g, p)):
+            assert out.dtype == np.complex128 and out.flags.c_contiguous
+            assert np.array_equal(out, g)
 
 
 def test_energy_preserved_at_reference_params():

@@ -97,6 +97,18 @@ def test_float_round_trip_small():
         assert cc(recovered, secret) > 0.999
 
 
+def test_fortran_ordered_secret_at_zero_distance():
+    # the distance-0 filter copies its input; the copy must be C-ordered for
+    # _forward's in-place transform and float64 view
+    host, secret = small_pair()
+    key = StegoKey(fresnel=FresnelParams(632.8e-9, 0.0, 10e-6),
+                   arnold_iterations=12, strength=0.08)
+    expected = embed(host, secret, key)
+    result = embed(host, np.asfortranarray(secret), key)
+    assert result.embedded.tobytes() == expected.embedded.tobytes()
+    assert result.report == expected.report
+
+
 def test_embed_report_matches_outputs():
     host, secret = small_pair()
     result = embed(host, secret, DESK_KEY)
