@@ -9,9 +9,11 @@ files and stdout on every run.
 
 embed and extract pass the grids read_image returns to the private cores
 stego_pipeline._embed and _extract, so each input is checked once, by
-its reader. embed --mode u8 reports on the quantized grid it writes; it
-computes the float report only when metrics._bounded cannot rule out an
-error in it, and only to raise that error before the file is written.
+its reader, and extract's result by its writer before the file is opened,
+so a recovery that overflows raises DataError and leaves no file. embed
+--mode u8 reports on the quantized grid it writes; it computes the float
+report only when metrics._bounded cannot rule out an error in it, and
+only to raise that error before the file is written.
 
 cli_main builds its argparse parser once per process and reuses it:
 parse_args writes only into a fresh Namespace, and each subcommand's

@@ -19,9 +19,10 @@ in place, and its rows in reverse order the lower ones. A real field
 takes pocketfft's real-input FFT (see _fft). Any square side works, odd
 ones included: the orthonormal DFT is unitary at every size.
 
-propagate and propagate_inverse check their field once; the core they
-share, _filter, checks nothing, and stego_pipeline._forward and
-fresnelet_analyze call it directly on square grids already checked.
+propagate and propagate_inverse check their field once and their result
+once, which raises DataError where a field near the float maximum
+overflows. The core they share, _filter, checks nothing and warns of
+nothing; stego_pipeline and the fresnelet pair call it on checked grids.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _fft
 from .errors import ParameterError
-from .numerics import ComplexGrid, as_grid, checked_real, checked_square
+from .numerics import ComplexGrid, _quiet, as_grid, checked_real, checked_square
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ def _half(side: int, params: FresnelParams) -> np.ndarray:
     return q
 
 
+@_quiet
 def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
@@ -99,9 +101,9 @@ def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
 
 def propagate(field, params: FresnelParams) -> ComplexGrid:
     """Forward Fresnel transform of a square field of any side."""
-    return _filter(checked_square(as_grid(field), "field", 1), params, False)
+    return as_grid(_filter(checked_square(as_grid(field), "field", 1), params, False))
 
 
 def propagate_inverse(field, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of propagate: the conjugate transfer factor."""
-    return _filter(checked_square(as_grid(field), "field", 1), params, True)
+    return as_grid(_filter(checked_square(as_grid(field), "field", 1), params, True))

@@ -33,14 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError, UndefinedCorrelationError
-from .numerics import as_image, checked_real
+from .numerics import _quiet, as_image, checked_real
 
 PEAK = 255.0
 DEFAULT_C1 = (0.01 * PEAK) ** 2
 DEFAULT_C2 = (0.03 * PEAK) ** 2
-# overflow in a score's array arithmetic is reported once, as the DataError
-# of _finite, and not also as a numpy RuntimeWarning
-_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)

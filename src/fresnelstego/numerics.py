@@ -7,12 +7,13 @@ limits.
 
 A public function checks each grid it is given once, the samples of all
 its grids before any shape rule, so bad samples raise DataError beside a
-wrong shape too. Private cores take grids their caller has checked:
-the four transforms in _fft, fresnel._filter, stego_pipeline's
-_forward, _field, _embed, _extract and the matvec and rmatvec of
-_operator, and metrics._compare. _field keeps the public propagate: its
-scaled difference overflows for a tiny strength, and propagate's finite
-check makes that a DataError.
+wrong shape too; one that returns a transformed grid checks it once too,
+as finite samples near the float maximum can overflow. Private cores take
+grids their caller has checked and check nothing: the four transforms in
+_fft, fresnel._filter, stego_pipeline's _forward, _field, _embed,
+_extract and the matvec and rmatvec of _operator, and metrics._compare.
+Their arithmetic runs under _quiet, so an overflow is reported once, as
+a DataError, and not also as a numpy warning.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields; ImageGrid and ComplexGrid are documentation aliases.
@@ -28,6 +29,8 @@ from .errors import DataError, ParameterError, ShapeError
 
 ImageGrid = np.ndarray
 ComplexGrid = np.ndarray
+# a decorator only: each call enters a fresh copy, so decorated cores nest
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def as_grid(samples) -> np.ndarray:

@@ -15,6 +15,10 @@ and extract's |_field(lattice(embedded) - lattice(host))| is the paper's
 reader for any difference, noisy 8-bit deliveries included. Extraction
 is non-blind: it needs the original host and the same key.
 
+_forward, _field, _embed and _extract check nothing and warn of nothing;
+embed's report and extract's check of its result raise DataError where
+their arithmetic overflows.
+
 The host side must be divisible by 4: the Fresnelet applies its Haar
 step to the secret, of half the host's side, so the paper's chain is
 defined only when that half side is even.
@@ -29,9 +33,9 @@ import numpy as np
 from ._fft import dctn, idctn
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
-from .fresnel import FresnelParams, _filter, propagate
+from .fresnel import FresnelParams, _filter
 from .metrics import MetricsReport, _compare
-from .numerics import (ImageGrid, as_image, checked_count, checked_real,
+from .numerics import (ImageGrid, _quiet, as_image, checked_count, checked_real,
                        checked_square)
 
 
@@ -64,6 +68,7 @@ class EmbedResult(NamedTuple):
     report: MetricsReport
 
 
+@_quiet
 def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
     """A x for a checked secret: s * D[0::2] as (real, imag) pairs, in the
     shape of a side x side host's lattice view.
@@ -89,12 +94,13 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     w = np.empty(side * side // 2)
     w[_layout(side, key.arnold_iterations)[1]] = diff_lattice
     del diff_lattice  # extract's temporary, freed before the transforms
-    # scaled before the transforms, so that an overflow (a tiny strength) meets
-    # propagate's finite check and raises DataError instead of returning inf
+    # scaled first, as in the closed-form chain; a tiny strength overflows here,
+    # and extract's check of its result raises DataError. No _quiet decorator:
+    # its wrapper's argument tuple would keep diff_lattice alive
     with np.errstate(over="ignore", invalid="ignore"):
         w /= np.sqrt(2.0) * key.strength
     w = w.reshape(side // 2, side).view(np.complex128)
-    return propagate(dctn(w, overwrite=True), key.fresnel)
+    return _filter(dctn(w, overwrite=True), key.fresnel, False)
 
 
 def _operator(key: StegoKey, side: int, mask=None):
@@ -129,6 +135,7 @@ def _operator(key: StegoKey, side: int, mask=None):
                           dtype=np.float64)
 
 
+@_quiet
 def _embed(host_grid: ImageGrid, secret_grid: ImageGrid, key: StegoKey) -> ImageGrid:
     """embed's core for checked grids: the shape rules, then the embedded image."""
     side = checked_square(host_grid, "host", 4).shape[0]
@@ -155,8 +162,10 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
     return EmbedResult(embedded, _compare(host_grid, embedded))
 
 
+@_quiet
 def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey) -> ImageGrid:
-    """extract's core for checked grids: the shape and strength rules, then the recovery."""
+    """extract's core for checked grids: the shape and strength rules, then the
+    recovery, which may hold inf or nan where the arithmetic overflowed."""
     checked_square(embedded_grid, "embedded image", 4)
     side = checked_square(host_grid, "host", 4).shape[0]
     if embedded_grid.shape != host_grid.shape:
@@ -171,5 +180,5 @@ def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey) -> I
 
 def extract(embedded, host, key: StegoKey) -> ImageGrid:
     """Recover the hidden image from an embedded image given the original
-    host and the exact key."""
-    return _extract(as_image(embedded), as_image(host), key)
+    host and the exact key. A recovery that overflows raises DataError."""
+    return as_image(_extract(as_image(embedded), as_image(host), key))

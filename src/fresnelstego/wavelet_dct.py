@@ -12,6 +12,9 @@ the block samples with signs from the tensor-product filters and weight
 satisfies M @ M = 4I, so synthesis reuses the same arithmetic. Division
 by two is exact in binary floating point, which keeps integer blocks and
 round trips bit-exact.
+
+Each transform checks its input and its result once, so finite samples
+near the float maximum that overflow raise DataError, with no warning.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from ._fft import dctn, idctn
 from .errors import ShapeError
-from .numerics import ImageGrid, as_grid, as_image
+from .numerics import ImageGrid, _quiet, as_grid, as_image
 
 
 class QuadBands(NamedTuple):
@@ -35,6 +38,7 @@ class QuadBands(NamedTuple):
     hh: np.ndarray
 
 
+@_quiet
 def _butterfly(a, b, c, d):
     return ((a + b + c + d) / 2,
             (a + b - c - d) / 2,
@@ -49,7 +53,8 @@ def dwt2(img) -> QuadBands:
     r, c = g.shape
     if r % 2 or c % 2:
         raise ShapeError(f"dimensions must be even, got {r}x{c}")
-    return QuadBands(*_butterfly(g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2]))
+    bands = _butterfly(g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2])
+    return QuadBands(*map(as_grid, bands))
 
 
 def idwt2(bands) -> np.ndarray:
@@ -64,14 +69,14 @@ def idwt2(bands) -> np.ndarray:
     out = np.empty((2 * r, 2 * c), dtype=np.result_type(ll, lh, hl, hh))
     out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = _butterfly(
         ll, lh, hl, hh)
-    return out
+    return as_grid(out)
 
 
 def dct2(img) -> ImageGrid:
     """Orthonormal 2-D DCT-II over the whole grid. Any rectangle works."""
-    return dctn(as_image(img))
+    return as_grid(dctn(as_image(img)))
 
 
 def idct2(coeffs) -> ImageGrid:
     """Exact inverse of dct2 (orthonormal DCT-III)."""
-    return idctn(as_image(coeffs))
+    return as_grid(idctn(as_image(coeffs)))

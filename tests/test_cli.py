@@ -1,5 +1,7 @@
 import json
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -196,6 +198,21 @@ def test_overflowing_data_exits_two(workspace, capsys):
     assert "too large to score" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ("float", "u8"))
+def test_overflowing_secret_prints_one_error_line(workspace, mode):
+    # the secret's spectrum overflows; the command reports that once, as its
+    # error, and no numpy warning reaches stderr
+    write_pgm(textured_image(64, 7), workspace / "h64.pgm")
+    write_float_image(np.full((32, 32), 1e307), workspace / "huge.fimg")
+    done = subprocess.run(
+        [sys.executable, "-m", "fresnelstego", "embed", "--host", workspace / "h64.pgm",
+         "--secret", workspace / "huge.fimg", "--key", workspace / "default.key",
+         "--out", workspace / "o.out", "--mode", mode], capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: samples too large to score: got (nan,)"]
+    assert not (workspace / "o.out").exists()
+
+
 def _u8_inputs(side):
     """(host, secret) of each kind of u8 embed input at one host side."""
     host = textured_image(side, side + 1)
@@ -326,8 +343,8 @@ def test_embed_scores_once_in_either_mode(workspace, monkeypatch):
 def test_commands_scan_each_grid_once(workspace, monkeypatch):
     # the benchmark's flow, PGM host and secret and a float embedded file:
     # the commands trust the grids read_image returns, so embed scans only
-    # the grid it writes, and extract the embedded file as it is read,
-    # propagate's guard on the field and the grid it writes
+    # the grid it writes, and extract the embedded file as it is read and
+    # the grid it writes, which is also its guard against an overflow
     write_pgm(textured_image(64, 7), workspace / "h64.pgm")
     write_pgm(textured_image(32, 8, rolloff=6.0), workspace / "s64.pgm")
     scanned = []
@@ -347,7 +364,7 @@ def test_commands_scan_each_grid_once(workspace, monkeypatch):
     scanned.clear()
     assert run("extract", "--embedded", workspace / "e.out", "--host", workspace / "h64.pgm",
                "--key", workspace / "default.key", "--out", workspace / "r.fimg") == 0
-    assert sorted(scanned) == [(32, 32), (32, 32), (64, 64)]
+    assert sorted(scanned) == [(32, 32), (64, 64)]
 
 
 def test_readers_return_checked_grids(workspace):

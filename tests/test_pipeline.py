@@ -10,11 +10,11 @@ from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           QuadBands, ShapeError, StegoKey,
                           UndefinedCorrelationError, cc, compare, dct2, dwt2,
                           embed, extract, fresnelet_analyze,
-                          fresnelet_synthesize, idct2, idwt2, mse, period,
+                          fresnelet_synthesize, idct2, idwt2, magnitude, mse, period,
                           propagate, propagate_inverse, psnr, quantize_u8,
                           scramble, unscramble)
 from fresnelstego.arnold import _layout
-from fresnelstego.stego_pipeline import _field, _forward, _operator
+from fresnelstego.stego_pipeline import _extract, _field, _forward, _operator
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -77,12 +77,40 @@ def test_zero_strength_extract_rejected():
 
 
 def test_overflowing_extract_raises_not_inf():
-    # a subnormal strength makes (embedded - host) / s overflow; that is a
+    # a subnormal strength makes (embedded - host) / s overflow, and a
+    # difference near the float maximum overflows in the DCT; either is a
     # DataError, not a grid of inf samples
     host, _ = small_pair()
     key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=12, strength=1e-310)
     with pytest.raises(DataError):
         extract(host + 1.0, host, key)
+    key = StegoKey(fresnel=DESK_KEY.fresnel, arnold_iterations=12, strength=1.0)
+    with pytest.raises(DataError):
+        extract(np.full(host.shape, 1e307), np.zeros(host.shape), key)
+
+
+OVERFLOWING = {
+    "propagate": lambda: propagate(np.full((64, 64), 3e306), DESK_KEY.fresnel),
+    "propagate_inverse": lambda: propagate_inverse(np.full((64, 64), 3e306),
+                                                   DESK_KEY.fresnel),
+    "dct2": lambda: dct2(np.full((64, 64), 1e308)),
+    "idct2": lambda: idct2(np.full((64, 64), 1e308)),
+    "dwt2": lambda: dwt2(np.full((64, 64), 1e308)),
+    "idwt2": lambda: idwt2([np.full((32, 32), 1e308)] * 4),
+    "magnitude": lambda: magnitude(np.full((4, 4), 1.5e308 + 1.5e308j)),
+    "fresnelet_analyze": lambda: fresnelet_analyze(np.full((64, 64), 3e306),
+                                                   DESK_KEY.fresnel),
+    "fresnelet_synthesize": lambda: fresnelet_synthesize([np.full((32, 32), 1e308)] * 4,
+                                                         DESK_KEY.fresnel),
+}
+
+
+@pytest.mark.parametrize("transform", OVERFLOWING)
+def test_overflowing_transform_raises_not_inf(transform):
+    # finite input whose result overflows: a DataError, and no numpy warning,
+    # which the suite's warning filter would turn into an error
+    with pytest.raises(DataError, match="non-finite"):
+        OVERFLOWING[transform]()
 
 
 def test_float_round_trip_small():
@@ -315,12 +343,25 @@ def test_embed_scans_each_grid_once(monkeypatch):
 
 
 def test_extract_scans_each_grid_once(monkeypatch):
-    # as embed; the one more scan is propagate's guard on the 32x32 field,
-    # which turns an overflow at a tiny strength into DataError
+    # as embed; the one more scan is of the 32x32 result, which turns an
+    # overflow at a tiny strength into DataError
     host, secret = textured_image(64, 1), textured_image(32, 2)
     embedded = embed(host, secret, DESK_KEY).embedded
     assert (scanned_shapes(monkeypatch, lambda: extract(embedded, host, DESK_KEY))
             == [(32, 32), (64, 64), (64, 64)])
+
+
+def test_extract_cores_scan_nothing(monkeypatch):
+    # _field, _extract and the operator's rmatvec take checked grids and
+    # leave the overflow guard to extract's check of its result
+    host, secret = textured_image(64, 1), textured_image(32, 2)
+    embedded = embed(host, secret, DESK_KEY).embedded
+    lattice = _layout(64, DESK_KEY.arnold_iterations)[0]
+    diff = lattice(embedded) - lattice(host)
+    rmatvec = _operator(DESK_KEY, 64).rmatvec
+    assert scanned_shapes(monkeypatch, lambda: _field(diff, DESK_KEY, 64)) == []
+    assert scanned_shapes(monkeypatch, lambda: _extract(embedded, host, DESK_KEY)) == []
+    assert scanned_shapes(monkeypatch, lambda: rmatvec(diff.ravel())) == []
 
 
 def staged_embed(host, secret, key):
@@ -351,7 +392,8 @@ def staged_extract(embedded, host, key):
     return np.abs(fresnelet_synthesize(quad, key.fresnel))
 
 
-@pytest.mark.parametrize("side", (12, 20, 100))
+# 256 is lib-256-onekey's host side, so the chain is pinned at a benchmark size
+@pytest.mark.parametrize("side", (12, 20, 100, 256))
 def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
     # steps 5, 7, 12, 13, 14 cover all three lattices: n = 0, 1, 2 (mod 3) write
     # the payload onto the even rows, the checkerboard or the even columns
