@@ -11,9 +11,10 @@ The float container layout is:
     <rows> <cols>\\n
     <rows * cols * 8 bytes of little-endian float64, row-major>
 
-The PGM reader is strict: magic P5, ASCII-digit header integers, maxval
-255, one whitespace byte before the payload, payload exactly width * height
-bytes, nothing after. Decode errors carry the byte offset of the violation.
+The PGM reader is strict: magic P5 followed by whitespace or a comment,
+ASCII-digit header integers, maxval 255, one whitespace byte before the
+payload, payload exactly width * height bytes, nothing after. Decode
+errors carry the byte offset of the violation.
 
 The writers stage no byte copy: each hands its grid's row-major buffer to
 the file, and quantize_u8 allocates its one result grid and rounds in place.
@@ -86,6 +87,8 @@ def _payload(data: bytes, at: int, rows: int, cols: int, dtype) -> np.ndarray:
 def _decode_pgm(data: bytes) -> ImageGrid:
     if not data.startswith(b"P5"):
         raise FormatError("not a binary PGM, magic P5 missing", offset=0)
+    if len(data) > 2 and data[2] not in _WHITESPACE + b"#":
+        raise FormatError("expected whitespace after magic P5", offset=2)
     pos = 2
     values = []
     for name in ("width", "height", "maxval"):

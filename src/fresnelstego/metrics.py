@@ -211,6 +211,8 @@ def _compare(ga, gb) -> MetricsReport:
     """compare for two checked grids of one shape: embed scores its own
     grids through this, so its report equals compare's bit for bit."""
     m, moments = _scores(ga, gb)
+    if math.isnan(m):  # finite samples give at worst an inf mse, never a nan
+        raise DataError("grid contains non-finite samples")
     _finite(m)
     terms = _ssim_terms(moments, ga.size, DEFAULT_C1, DEFAULT_C2)
     # the SSIM breakdown's fields follow cc in MetricsReport, in the same order

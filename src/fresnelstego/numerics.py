@@ -12,8 +12,11 @@ as finite samples near the float maximum can overflow. Private cores take
 grids their caller has checked and check nothing: the four transforms in
 _fft, fresnel._filter, stego_pipeline's _forward, _field, _embed,
 _extract and the matvec and rmatvec of _operator, and metrics._compare.
-Their arithmetic runs under _quiet, so an overflow is reported once, as
-a DataError, and not also as a numpy warning.
+_quiet wraps the cores that do the arithmetic behind a public function
+or a CLI command (fresnel._filter, wavelet_dct._butterfly,
+metrics._scores, stego_pipeline._embed and _extract), so an overflow is
+reported once, as a DataError, and not also as a numpy warning. _forward
+and _field run under their caller's _quiet; _operator runs under none.
 
 Grids are plain 2-D numpy arrays: float64 for images, complex128 for
 fields; ImageGrid and ComplexGrid are documentation aliases.

@@ -15,9 +15,9 @@ and extract's |_field(lattice(embedded) - lattice(host))| is the paper's
 reader for any difference, noisy 8-bit deliveries included. Extraction
 is non-blind: it needs the original host and the same key.
 
-_forward, _field, _embed and _extract check nothing and warn of nothing;
-embed's report and extract's check of its result raise DataError where
-their arithmetic overflows.
+_forward, _field, _embed and _extract check nothing and, under _embed's
+and _extract's _quiet, warn of nothing; embed's report and extract's
+check of its result raise DataError where their arithmetic overflows.
 
 The host side must be divisible by 4: the Fresnelet applies its Haar
 step to the secret, of half the host's side, so the paper's chain is
@@ -68,7 +68,6 @@ class EmbedResult(NamedTuple):
     report: MetricsReport
 
 
-@_quiet
 def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
     """A x for a checked secret: s * D[0::2] as (real, imag) pairs, in the
     shape of a side x side host's lattice view.
@@ -94,11 +93,7 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     w = np.empty(side * side // 2)
     w[_layout(side, key.arnold_iterations)[1]] = diff_lattice
     del diff_lattice  # extract's temporary, freed before the transforms
-    # scaled first, as in the closed-form chain; a tiny strength overflows here,
-    # and extract's check of its result raises DataError. No _quiet decorator:
-    # its wrapper's argument tuple would keep diff_lattice alive
-    with np.errstate(over="ignore", invalid="ignore"):
-        w /= np.sqrt(2.0) * key.strength
+    w /= np.sqrt(2.0) * key.strength  # before the DCT, as in the closed-form chain
     w = w.reshape(side // 2, side).view(np.complex128)
     return _filter(dctn(w, overwrite=True), key.fresnel, False)
 
@@ -108,7 +103,9 @@ def _operator(key: StegoKey, side: int, mask=None):
     flat vectors, so that a reader is a solver call such as lsqr (Paige &
     Saunders, ACM TOMS 1982): matvec is _forward of a side/2 x side/2
     secret, rmatvec is A^T of a vector in the lattice's shape. A boolean
-    mask in that shape keeps only the lattice samples it marks."""
+    mask in that shape keeps only the lattice samples it marks. Neither
+    checks anything and either can return inf or nan, with a numpy warning
+    where the scaling or division overflows but none for a nan from _filter."""
     # a cold import costs about 0.4 s, so the package import never pays it
     from scipy.sparse.linalg import LinearOperator
 
@@ -116,23 +113,19 @@ def _operator(key: StegoKey, side: int, mask=None):
         raise ParameterError("strength must be positive for extraction")
     half = side // 2
     shape = _layout(side, key.arnold_iterations)[1].shape
-    rows = half * side if mask is None else int(np.count_nonzero(mask))
+    keep = np.ones(shape, bool) if mask is None else mask
 
     def matvec(x):
-        y = _forward(x.reshape(half, half), key, side)
-        return y.ravel() if mask is None else y[mask]
+        return _forward(x.reshape(half, half), key, side)[keep]
 
     def rmatvec(y):
-        if mask is None:
-            y = y.reshape(shape)
-        else:
-            y, masked = np.zeros(shape), y
-            y[mask] = masked.ravel()
-        field = _field(y, key, side)
+        lattice = np.zeros(shape)
+        lattice[keep] = y.ravel()
+        field = _field(lattice, key, side)
         return 2 * key.strength ** 2 * (np.exp(-1j * np.pi / 4) * field).real.ravel()
 
-    return LinearOperator((rows, half * half), matvec=matvec, rmatvec=rmatvec,
-                          dtype=np.float64)
+    return LinearOperator((int(np.count_nonzero(keep)), half * half), matvec=matvec,
+                          rmatvec=rmatvec, dtype=np.float64)
 
 
 @_quiet

@@ -209,7 +209,7 @@ def test_overflowing_secret_prints_one_error_line(workspace, mode):
          "--secret", workspace / "huge.fimg", "--key", workspace / "default.key",
          "--out", workspace / "o.out", "--mode", mode], capture_output=True, text=True)
     assert done.returncode == 2
-    assert done.stderr.splitlines() == ["error: samples too large to score: got (nan,)"]
+    assert done.stderr.splitlines() == ["error: grid contains non-finite samples"]
     assert not (workspace / "o.out").exists()
 
 

@@ -100,7 +100,7 @@ def test_pgm_rejects_bad_header_fields(tmp_path):
     for header, offset in ((b"P5\nab 2\n255\n", 3), (b"P5\n0 2\n255\n", 3),
                            (b"P5\n2 -2\n255\n", 5), (b"P5\n2 2\n", 7),
                            (b"P5 1_0 1 255\n", 3), (b"P5 10 +1 255\n", 6),
-                           (b"P5 10 1 2_55\n", 8)):
+                           (b"P5 10 1 2_55\n", 8), (b"P510 1 255\n", 2)):
         path = tmp_path / "h.pgm"
         path.write_bytes(header + bytes(10))
         with pytest.raises(FormatError) as err:
