@@ -11,10 +11,11 @@ extension is loaded by path under its real name, or reused if scipy.fft
 already loaded it, so both share one module; if scipy.fft comes later,
 its modules find this one in sys.modules, though the package
 scipy.fft._pocketfft then lacks the attribute pypocketfft, which scipy
-only reads through from-imports. Each function makes exactly the
-pocketfft calls scipy.fft's numpy backend makes for norm="ortho" over
-axes (0, 1) at one thread, so the bits are the same. None of them
-checks its input.
+only reads through from-imports. Each function runs pocketfft as
+scipy.fft's numpy backend does for norm="ortho" over axes (0, 1) at one
+thread, but a complex DCT is one call, on a float view with the parts on
+a trailing axis ([..., None] is contiguous at any strides), where scipy
+makes one per part; tests pin that the bits agree. None checks its input.
 """
 from __future__ import annotations
 
@@ -51,13 +52,9 @@ def ifft2(a: np.ndarray) -> np.ndarray:
 
 
 def _dct(a: np.ndarray, kind: int, overwrite: bool) -> np.ndarray:
-    out = a if overwrite else None
-    if a.dtype.kind != "c":
-        return _pocketfft.dct(a, kind, _AXES, 1, out, 1)
-    if out is None:
-        out = np.empty_like(a)
-    _pocketfft.dct(a.real, kind, _AXES, 1, out.real, 1)
-    _pocketfft.dct(a.imag, kind, _AXES, 1, out.imag, 1)
+    out = a if overwrite else np.empty(a.shape, a.dtype)
+    _pocketfft.dct(a[..., None].view(np.float64), kind, _AXES, 1,
+                   out[..., None].view(np.float64), 1)
     return out
 
 

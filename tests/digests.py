@@ -2,10 +2,11 @@
 
 Prints one JSON object, keyed by case, over embed (the embedded grid and
 its report) and extract of float and u8 deliveries, the public transforms
-and scores, the operator pair behind stego_pipeline._operator, the CLI
-commands run in-process (exit code, stdout, stderr and the bytes of every
-file written), error cases (exception type and message), and the list of
-warnings all of them raised.
+and scores, the private DCT on complex grids of each layout, the operator
+pair behind stego_pipeline._operator, the CLI commands run in-process
+(exit code, stdout, stderr and the bytes of every file written), error
+cases (exception type and message), and the list of warnings all of them
+raised.
 
 Run it against two source trees and compare:
 
@@ -36,6 +37,7 @@ from fresnelstego import (ArnoldSpec, FresnelParams, StegoKey, cc, compare, dct2
                           psnr_from_mse, quantize_u8, read_float_image, read_image,
                           read_pgm, scramble, ssim, unscramble, write_float_image,
                           write_pgm)
+from fresnelstego import _fft
 from fresnelstego.arnold import _layout
 from fresnelstego.cli import cli_main
 from fresnelstego.stego_pipeline import _operator
@@ -109,6 +111,23 @@ def transform_cases(out):
     out["scores"] = _digest(mse(img, other), psnr(img, other), cc(img, other),
                             ssim(img, other), compare(img, other),
                             [psnr_from_mse(m) for m in (1e-320, 1.0, 1e300)])
+
+
+def dct_cases(out):
+    rng = np.random.default_rng(9)
+    for side in (6, 50, 128):
+        shape = (3 * side, 2 * side)
+        big = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # a fresh grid per call, as overwrite transforms it in place
+        layouts = {"c": lambda: big[:side, :side].copy(),
+                   "fortran": lambda: np.asfortranarray(big[:side, :side]),
+                   "strided": lambda: big.copy()[1::3, ::2]}
+        for layout, grid in layouts.items():
+            for name, transform in (("dctn", _fft.dctn), ("idctn", _fft.idctn)):
+                for overwrite in (False, True):
+                    a = grid()
+                    out[f"_fft/{name}/{side}/{layout}/overwrite={overwrite}"] = _digest(
+                        transform(a, overwrite), a)
 
 
 def operator_cases(out):
@@ -243,8 +262,8 @@ def main(argv=None) -> int:
     out = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for cases in (pipeline_cases, transform_cases, operator_cases, cli_cases,
-                      error_cases):
+        for cases in (pipeline_cases, transform_cases, dct_cases, operator_cases,
+                      cli_cases, error_cases):
             cases(out)
     # every warning any case raised, without the source location
     out["warnings"] = _digest([f"{w.category.__name__}: {w.message}" for w in caught])

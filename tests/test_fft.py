@@ -112,7 +112,8 @@ def assert_matches_scipy(a):
     assert_same_bits(_fft.idctn(a), scipy.fft.idctn(a, norm="ortho"))
 
 
-@pytest.mark.parametrize("side", [1, 2, 3, 7, 64])
+# 50, 128, 256 and 512 are the secret sides at hosts 100, 256, 512 and 1024
+@pytest.mark.parametrize("side", [1, 2, 3, 7, 64, 50, 128, 256, 512])
 def test_transforms_match_scipy_fft_bit_for_bit(side):
     for a in grids(side, side):
         assert_matches_scipy(a)
@@ -141,6 +142,17 @@ def test_strided_views():
         expected = scipy.fft.dctn(view, norm="ortho")
         b = big.copy()[1::3, ::2]
         assert _fft.dctn(b, overwrite=True) is b
+        assert_same_bits(b, expected)
+    # the public transforms return C-ordered grids for any layout
+    image = np.asfortranarray(grids(40, 5)[0])
+    assert dct2(image).flags.c_contiguous and idct2(image).flags.c_contiguous
+    # a Fortran-ordered complex grid: each part is a strided view of its buffer
+    c = np.asfortranarray(grids(40, 5)[1])
+    assert_matches_scipy(c)
+    for ours, theirs in ((_fft.dctn, scipy.fft.dctn), (_fft.idctn, scipy.fft.idctn)):
+        expected = theirs(c, norm="ortho")
+        b = c.copy(order="F")
+        assert ours(b, overwrite=True) is b
         assert_same_bits(b, expected)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,36 @@ def test_wavelength_distance_enter_as_product():
     a = propagate(f, scaled_wavelength)
     b = propagate(f, scaled_distance)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+# For a secret of side N (host 2N) the stage depends only on
+# alpha = wavelength * distance / (N * pitch)**2, which for the shipped key
+# is 2**10 * 5**6 * 791 / N**2, 791 = 7 * 113. It is an integer exactly when
+# N = 2**a * 5**b with a <= 5 and b <= 3, and N is even (a >= 1) as host sides
+# are multiples of 4; that gives the hosts up to 1000 below. An integer alpha
+# makes every bin's factor 1 (alpha even) or (-1)**(k + l) (alpha odd, a = 5),
+# a roll by N/2: a Talbot plane. Hosts 128 and 256 are fractional ones.
+SHIPPED_ALPHA_N2 = 2 ** 10 * 5 ** 6 * 791
+
+
+@pytest.mark.parametrize("host", [4, 8, 16, 20, 32, 40, 64, 80, 100, 160, 200, 320,
+                                  400, 500, 800, 1000, 128, 256])
+def test_shipped_key_stage_at_talbot_planes(host):
+    p = load_key(default_key_path()).fresnel
+    assert p.wavelength * p.distance / p.pitch ** 2 == pytest.approx(SHIPPED_ALPHA_N2,
+                                                                     rel=1e-12)
+    side = host // 2
+    alpha = Fraction(SHIPPED_ALPHA_N2, side ** 2)
+    x = np.random.default_rng(host).standard_normal((side, side))
+    got = propagate(x, p)
+    half = np.roll(x, (side // 2, side // 2), (0, 1))
+    same, rolled = (np.max(np.abs(got - y)) for y in (x, half))
+    bound = np.max(np.abs(x))
+    if alpha.denominator == 1:
+        assert (same, rolled)[alpha.numerator % 2] <= 1e-4 * bound
+    else:
+        assert host in (128, 256)
+        assert min(same, rolled) > 0.1 * bound
 
 
 def test_wrong_distance_degrades_monotonically():
