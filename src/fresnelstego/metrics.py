@@ -6,15 +6,16 @@ pair. Variances are population variances (no Bessel correction). Every
 measure but mse follows from five moments: the two means and the
 deviation sums sum(da * da), sum(db * db) and sum(da * db).
 
-One kernel, _scores, takes every sum. It walks the grids in row-major
-order in leaf blocks of at most _LEAF samples, computes each block's
-differences or deviations in one small reused workspace, and adds the
-block sums where numpy's pairwise add.reduce splits a contiguous run:
-at half the length rounded down to a multiple of 8. So each sum equals
-np.sum over the whole-grid temporary bit for bit, with no such
-temporary allocated. A grid that is not C-contiguous is first copied
-into row-major order, so every memory layout of the same samples scores
-the same.
+One kernel, _scores, takes every sum in one pass. The means are numpy's
+own add.reduce of the row-major grids. One walk then puts each block of
+at most _LEAF samples' difference and deviations in a small reused
+workspace, and adds the block sums where numpy's pairwise add.reduce
+splits a contiguous run: at half the length rounded down to a multiple
+of 8. So each sum equals np.sum over the whole-grid temporary bit for
+bit, with no such temporary allocated. A grid that is not C-contiguous
+is first copied into row-major order, so every memory layout of the same
+samples scores the same. compare uses every sum of the one pass; mse,
+psnr, cc and ssim alone pay for sums they do not use.
 
 Scores raise DataError when a sum overflows and UndefinedCorrelationError
 when a deviation sum is 0. _bounded rules both out from four min/max
@@ -80,54 +81,41 @@ def _finite(*values) -> None:
 _LEAF = 1 << 14
 
 
-def _pairwise(leaf, args, lo, hi):
-    """leaf(lo, hi, *args), a vector of sums over flat samples [lo, hi),
-    added where numpy's pairwise add.reduce splits the run. Module-level:
-    a recursive closure would hold the grids in a reference cycle."""
+def _pairwise(args, lo, hi):
+    """_sums(lo, hi, *args) added where numpy's pairwise add.reduce splits
+    the run [lo, hi). Module-level: a recursive closure would hold the
+    grids in a reference cycle."""
     n = hi - lo
     if n <= _LEAF:
-        return leaf(lo, hi, *args)
+        return _sums(lo, hi, *args)
     mid = lo + n // 2 - n // 2 % 8
-    return _pairwise(leaf, args, lo, mid) + _pairwise(leaf, args, mid, hi)
+    return _pairwise(args, lo, mid) + _pairwise(args, mid, hi)
 
 
-def _raw_sums(lo, hi, a, b, w, squares, moments):
-    # sum(a) and sum(b) if moments, then sum((a - b)**2) if squares
-    x, y = a[lo:hi], b[lo:hi]
-    sums = [np.add.reduce(x), np.add.reduce(y)] if moments else []
-    if squares:
-        d = np.subtract(x, y, out=w[0, :hi - lo])
-        sums.append(np.add.reduce(np.multiply(d, d, out=d)))
-    return np.array(sums)
-
-
-def _deviation_sums(lo, hi, a, b, w, mu_a, mu_b):
-    # sum(da * da), sum(db * db) and sum(da * db): the moments' order
+def _sums(lo, hi, a, b, w, mu_a, mu_b):
+    # sum(d * d), sum(da * da), sum(db * db) and sum(da * db) over [lo, hi)
     w = w[:, :hi - lo]
-    da = np.subtract(a[lo:hi], mu_a, out=w[0])
-    db = np.subtract(b[lo:hi], mu_b, out=w[1])
-    np.multiply(da, db, out=w[2])
-    np.multiply(da, da, out=da)
-    np.multiply(db, db, out=db)
+    x, y = a[lo:hi], b[lo:hi]
+    np.subtract(x, y, out=w[0])
+    np.subtract(x, mu_a, out=w[1])
+    np.subtract(y, mu_b, out=w[2])
+    np.multiply(w[1], w[2], out=w[3])
+    np.multiply(w[:3], w[:3], out=w[:3])
     return np.add.reduce(w, axis=1)
 
 
 @_quiet
-def _scores(ga, gb, squares=True, moments=True):
-    """(mse, moments) of two checked grids of one shape, the mse None unless
-    squares and the moments None unless moments. The moments are (mu_a,
-    mu_b, sum(da * da), sum(db * db), sum(da * db)). Nothing is checked
+def _scores(ga, gb):
+    """(mse, moments) of two checked grids of one shape, the moments (mu_a,
+    mu_b, sum(da * da), sum(db * db), sum(da * db)), all from one pass: a
+    score that uses fewer still pays for every sum. Nothing is checked
     here: each score checks only the values it uses."""
     a, b = ga.ravel(), gb.ravel()
     n = a.size
-    w = np.empty((3, min(n, _LEAF)))
-    sums = _pairwise(_raw_sums, (a, b, w, squares, moments), 0, n)
-    m = float(sums[-1]) / n if squares else None
-    if not moments:
-        return m, None
-    mu_a, mu_b = float(sums[0]) / n, float(sums[1]) / n
-    deviations = _pairwise(_deviation_sums, (a, b, w, mu_a, mu_b), 0, n)
-    return m, (mu_a, mu_b, *map(float, deviations))
+    mu_a, mu_b = float(np.add.reduce(a)) / n, float(np.add.reduce(b)) / n
+    w = np.empty((4, min(n, _LEAF)))
+    sums = _pairwise((a, b, w, mu_a, mu_b), 0, n)
+    return float(sums[0]) / n, (mu_a, mu_b, *map(float, sums[1:]))
 
 
 def _correlation(moments) -> float:
@@ -158,7 +146,7 @@ def _ssim_terms(moments, count, c1, c2) -> SsimBreakdown:
 
 def mse(a, b) -> float:
     """Mean squared difference."""
-    m = _scores(*_pair(a, b), moments=False)[0]
+    m = _scores(*_pair(a, b))[0]
     _finite(m)
     return m
 
@@ -187,7 +175,7 @@ def cc(a, b) -> float:
     Raises UndefinedCorrelationError when either image is constant, since
     the ratio is then 0/0 and no value is meaningful.
     """
-    return _correlation(_scores(*_pair(a, b), squares=False)[1])
+    return _correlation(_scores(*_pair(a, b))[1])
 
 
 def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
@@ -204,7 +192,7 @@ def ssim(a, b, c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> SsimBreakdown:
     if min(c1, c2) < 0.0:
         raise ParameterError(f"c1 and c2 must be non-negative, got {c1} and {c2}")
     ga, gb = _pair(a, b)
-    return _ssim_terms(_scores(ga, gb, squares=False)[1], ga.size, c1, c2)
+    return _ssim_terms(_scores(ga, gb)[1], ga.size, c1, c2)
 
 
 def _compare(ga, gb) -> MetricsReport:

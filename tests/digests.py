@@ -2,7 +2,8 @@
 
 Prints one JSON object, keyed by case, over embed (the embedded grid and
 its report) and extract of float and u8 deliveries, the public transforms
-and scores, the private DCT on complex grids of each layout, the operator
+and scores, the scores at sides of several kernel leaves and in each
+memory layout, the private DCT on complex grids of each layout, the operator
 pair behind stego_pipeline._operator, the CLI commands run in-process
 (exit code, stdout, stderr and the bytes of every file written), error
 cases (exception type and message), and the list of warnings all of them
@@ -111,6 +112,25 @@ def transform_cases(out):
     out["scores"] = _digest(mse(img, other), psnr(img, other), cc(img, other),
                             ssim(img, other), compare(img, other),
                             [psnr_from_mse(m) for m in (1e-320, 1.0, 1e300)])
+
+
+def score_cases(out):
+    """The scores at sides of 2 and of 8 or more kernel leaves, on C-ordered,
+    Fortran-ordered and strided pairs."""
+    rng = np.random.default_rng(11)
+    for side in (129, 362):
+        # non-integer samples over many magnitudes, so every sum rounds
+        wide = [rng.uniform(0.0, 255.0, (2 * side, 2 * side))
+                * 10.0 ** rng.uniform(-3.0, 3.0, (2 * side, 2 * side)) for _ in range(2)]
+        wide[1] += rng.standard_normal(wide[1].shape) * 7.5
+        a, b = (w[:side, :side].copy() for w in wide)
+        layouts = {"c": (a, b),
+                   "fortran": (np.asfortranarray(a), np.asfortranarray(b)),
+                   "strided": (wide[0][::2, 1::2], wide[1][::2, 1::2])}
+        for layout, (x, y) in layouts.items():
+            for name, score in (("mse", mse), ("psnr", psnr), ("cc", cc),
+                                ("ssim", ssim), ("compare", compare)):
+                out[f"scores/{side}/{layout}/{name}"] = _digest(score(x, y))
 
 
 def dct_cases(out):
@@ -262,8 +282,8 @@ def main(argv=None) -> int:
     out = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for cases in (pipeline_cases, transform_cases, dct_cases, operator_cases,
-                      cli_cases, error_cases):
+        for cases in (pipeline_cases, transform_cases, score_cases, dct_cases,
+                      operator_cases, cli_cases, error_cases):
             cases(out)
     # every warning any case raised, without the source location
     out["warnings"] = _digest([f"{w.category.__name__}: {w.message}" for w in caught])

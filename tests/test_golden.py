@@ -7,9 +7,11 @@ the shipped key, a zero-distance key, and a desk key (632.8 nm, 5 cm,
 Fresnel stage mixes: the shipped key's is the identity at side 20 and a
 roll by half the secret's side at 64 (see test_fresnel). The desk cases
 were added later by loading the archive, adding their arrays and saving
-it, so the older arrays kept their bytes. Any later version of the
-package must reproduce them within the tolerance contract the README
-states:
+it, so the older arrays kept their bytes. Byte identity holds only on
+one machine with one build of numpy and scipy: numpy picks its SIMD
+loops by CPU, so the package that wrote an array can miss its bytes in
+the last bits elsewhere. Across machines, builds and versions, the
+promise is the tolerance contract the README states:
 
   - float grids (the embedded image, float extraction and the extraction
     of the 8-bit delivery) within FLOAT_ATOL gray levels;

@@ -70,13 +70,17 @@ def test_overflowing_pair_is_a_data_error():
         with pytest.raises(DataError):
             score(huge, huge)
     # the mse overflows, and so does the luminance term's mu_a * mu_b; ssim
-    # neither computes nor checks the mse, so it names its own terms
+    # computes but does not check the mse, so it names its own terms
     flat = np.full((8, 8), 1e200)
     for score in (mse, psnr):
         with pytest.raises(DataError, match=re.escape("(inf,)")):
             score(flat, -flat)
     with pytest.raises(DataError, match=re.escape("(nan, nan, nan)")):
         ssim(flat, -flat)
+    # the deviation sums overflow but mse and psnr do not use them
+    checker = 1e200 * (1.0 - 2.0 * (np.indices((8, 8)).sum(axis=0) % 2))
+    assert mse(checker, checker) == 0.0
+    assert psnr(checker, checker) == math.inf
 
 
 def test_non_2d_pair_is_a_shape_error():
@@ -248,8 +252,6 @@ def test_kernel_sums_equal_whole_grid_sums_at_the_smallest_leaf(rows, cols, seed
         patch.setattr(metrics, "_LEAF", 128)
         m, moments = _whole_grid_sums(a, b)
         assert _scores(a, b) == (m, moments)
-        assert _scores(a, b, moments=False) == (m, None)
-        assert _scores(a, b, squares=False) == (None, moments)
 
 
 def test_every_layout_scores_as_its_row_major_copy():
