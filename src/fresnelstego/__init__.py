@@ -13,8 +13,8 @@ from .errors import (DataError, FormatError, KeyFileError, ParameterError,
 from .formats import (default_key_path, load_key, parse_key_text, quantize_u8,
                       read_float_image, read_image, read_pgm,
                       write_float_image, write_image, write_pgm)
-from .fresnel import FresnelParams, propagate, propagate_inverse
-from .fresnelet import fresnelet_analyze, fresnelet_synthesize, magnitude
+from .fresnel import (FresnelParams, fresnelet_analyze, fresnelet_synthesize, magnitude,
+                      propagate, propagate_inverse)
 from .metrics import (DEFAULT_C1, DEFAULT_C2, MetricsReport, SsimBreakdown,
                       cc, compare, mse, psnr, psnr_from_mse, ssim)
 from .numerics import ComplexGrid, ImageGrid

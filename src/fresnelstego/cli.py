@@ -13,7 +13,10 @@ its reader, and extract's result by its writer before the file is opened,
 so a recovery that overflows raises DataError and leaves no file. embed
 --mode u8 reports on the quantized grid it writes; it computes the float
 report only when metrics._bounded cannot rule out an error in it, and
-only to raise that error before the file is written.
+only to raise that error before the file is written. A delivery that
+clips to one gray level, as from a host wholly above 255 or below 0, is
+written and then exits 2 on its undefined correlation; the library's
+embed, which scores the float grid, succeeds.
 
 cli_main builds its argparse parser once per process and reuses it:
 parse_args writes only into a fresh Namespace, and each subcommand's
@@ -183,12 +186,9 @@ def cli_main(argv=None) -> int:
         return EXIT_OK
     try:
         return args.run(args)
-    except ParameterError as exc:  # KeyFileError included
+    except (StegoError, OSError) as exc:  # KeyFileError is a ParameterError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KEY
-    except (StegoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_KEY if isinstance(exc, ParameterError) else EXIT_DATA
 
 
 def main() -> None:

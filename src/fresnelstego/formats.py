@@ -21,6 +21,7 @@ the file, and quantize_u8 allocates its one result grid and rounds in place.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from .stego_pipeline import StegoKey
 
 FLOAT_MAGIC = b"FIMG"
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# a run of PGM whitespace and '#' comments, then one token: empty only at the end
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c]*)")
 
 KEY_NAMES = ("wavelength_nm", "pitch_nm", "distance_cm", "arnold_iterations", "strength")
 
@@ -43,25 +46,6 @@ def quantize_u8(img) -> ImageGrid:
     g = np.clip(as_image(img), 0.0, 255.0)
     g += 0.5
     return np.floor(g, out=g)
-
-
-def _next_token(data: bytes, pos: int):
-    n = len(data)
-    while pos < n:
-        ch = data[pos]
-        if ch in _WHITESPACE:
-            pos += 1
-        elif ch == ord(b"#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError("header ended early", offset=pos)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], start, pos
 
 
 def _positive(name: str, token: bytes, offset: int) -> int:
@@ -92,8 +76,10 @@ def _decode_pgm(data: bytes) -> ImageGrid:
     pos = 2
     values = []
     for name in ("width", "height", "maxval"):
-        token, start, pos = _next_token(data, pos)
-        values.append(_positive(name, token, start))
+        start, pos = _TOKEN.match(data, pos).span(1)
+        if start == pos:
+            raise FormatError("header ended early", offset=start)
+        values.append(_positive(name, data[start:pos], start))
     width, height, maxval = values
     if maxval != 255:
         raise FormatError(f"maxval must be 255, got {maxval}", offset=start)

@@ -1,4 +1,4 @@
-"""Unitary discrete Fresnel propagation.
+"""Unitary discrete Fresnel propagation and the level-1 Fresnelet pair.
 
 Propagation over distance d at wavelength w is a frequency-domain filter:
 each spectral bin at discrete frequency (nu_x, nu_y), in cycles per meter
@@ -19,10 +19,15 @@ in place, and its rows in reverse order the lower ones. A real field
 takes pocketfft's real-input FFT (see _fft). Any square side works, odd
 ones included: the orthonormal DFT is unitary at every size.
 
-propagate and propagate_inverse check their field once and their result
-once, which raises DataError where a field near the float maximum
-overflows. The core they share, _filter, checks nothing and warns of
-nothing; stego_pipeline and the fresnelet pair call it on checked grids.
+A Fresnelet (Liebling, Blu & Unser, IEEE TIP 2003) is this stage, then
+the level-1 Haar step; synthesis runs both inverses in reverse. Both are
+unitary, so the pair reconstructs to machine precision, and at zero
+distance its coefficients are the plain Haar bands exactly.
+
+Each public function checks its input and its result, so each raises
+DataError on a result that overflows, as a field near the float maximum
+can. The core they share with stego_pipeline, _filter, scans no samples
+and warns of nothing.
 """
 from __future__ import annotations
 
@@ -34,7 +39,9 @@ import numpy as np
 
 from . import _fft
 from .errors import ParameterError
-from .numerics import ComplexGrid, _quiet, as_grid, checked_real, checked_square
+from .numerics import (ComplexGrid, ImageGrid, _quiet, as_grid, as_image, checked_real,
+                       checked_square)
+from .wavelet_dct import QuadBands, dwt2, idwt2
 
 
 @dataclass(frozen=True)
@@ -107,3 +114,19 @@ def propagate(field, params: FresnelParams) -> ComplexGrid:
 def propagate_inverse(field, params: FresnelParams) -> ComplexGrid:
     """Exact inverse of propagate: the conjugate transfer factor."""
     return as_grid(_filter(checked_square(as_grid(field), "field", 1), params, True))
+
+
+def fresnelet_analyze(img, params: FresnelParams) -> QuadBands:
+    """Complex coefficient quad of a square image with an even side."""
+    return dwt2(_filter(checked_square(as_image(img), "field", 1), params, False))
+
+
+def fresnelet_synthesize(quad, params: FresnelParams) -> ComplexGrid:
+    """Exact inverse of fresnelet_analyze, returning the complex field."""
+    field = checked_square(idwt2(quad), "field", 1)  # idwt2 checked its samples
+    return as_grid(_filter(field, params, True))
+
+
+def magnitude(field) -> ImageGrid:
+    """Element-wise complex modulus as a real grid."""
+    return as_grid(np.abs(as_grid(field)))

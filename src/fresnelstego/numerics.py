@@ -9,9 +9,11 @@ A public function checks each grid it is given once, the samples of all
 its grids before any shape rule, so bad samples raise DataError beside a
 wrong shape too; one that returns a transformed grid checks it once too,
 as finite samples near the float maximum can overflow. Private cores take
-grids their caller has checked and check nothing: the four transforms in
+grids their caller has checked and scan no samples: the four transforms in
 _fft, fresnel._filter, stego_pipeline's _forward, _field, _embed,
 _extract and the matvec and rmatvec of _operator, and metrics._compare.
+They keep the rules that need no scan: shapes in _embed and _extract,
+strength in _extract and _operator, and _compare's checks of its results.
 _quiet wraps the cores that do the arithmetic behind a public function
 or a CLI command (fresnel._filter, wavelet_dct._butterfly,
 metrics._scores, stego_pipeline._embed and _extract), so an overflow is

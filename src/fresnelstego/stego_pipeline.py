@@ -15,7 +15,7 @@ and extract's |_field(lattice(embedded) - lattice(host))| is the paper's
 reader for any difference, noisy 8-bit deliveries included. Extraction
 is non-blind: it needs the original host and the same key.
 
-_forward, _field, _embed and _extract check nothing and, under _embed's
+_forward, _field, _embed and _extract scan no samples and, under _embed's
 and _extract's _quiet, warn of nothing; embed's report and extract's
 check of its result raise DataError where their arithmetic overflows.
 

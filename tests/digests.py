@@ -6,7 +6,8 @@ and scores, the scores at sides of several kernel leaves and in each
 memory layout, the private DCT on complex grids of each layout, the operator
 pair behind stego_pipeline._operator, the CLI commands run in-process
 (exit code, stdout, stderr and the bytes of every file written), error
-cases (exception type and message), and the list of warnings all of them
+cases (exception type and message), read_pgm on headers that exercise
+its whitespace and comment grammar, and the list of warnings all of them
 raised.
 
 Run it against two source trees and compare:
@@ -274,6 +275,24 @@ def error_cases(out):
             out[f"error/{name}"] = _digest(_outcome(lambda: reader(path)))
 
 
+def pgm_header_cases(out):
+    """read_pgm's outcome on headers that exercise the PGM whitespace and
+    comment grammar."""
+    headers = {
+        "comment-after-magic": b"P5# made by hand\r\n2 1 255\n" + bytes([7, 200]),
+        "comment-to-end": b"P5 2 1 # maxval never comes",
+        "cr-line-ends": b"P5\r2 1\r255\r" + bytes([1, 2]),
+        "vt-ff-separators": b"P5\x0b2\x0c1\x0b\x0c255\x0c" + bytes([3, 4]),
+        "hash-in-width": b"P5 2#x 1 255\n" + bytes(2),
+        "maxval-0255": b"P5 2 1 0255\n" + bytes([5, 6]),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.pgm"
+        for name, data in headers.items():
+            path.write_bytes(data)
+            out[f"pgm/header/{name}"] = _digest(_outcome(lambda: read_pgm(path)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path,
@@ -283,7 +302,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for cases in (pipeline_cases, transform_cases, score_cases, dct_cases,
-                      operator_cases, cli_cases, error_cases):
+                      operator_cases, cli_cases, error_cases, pgm_header_cases):
             cases(out)
     # every warning any case raised, without the source location
     out["warnings"] = _digest([f"{w.category.__name__}: {w.message}" for w in caught])

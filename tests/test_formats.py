@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fresnelstego import (DataError, FormatError, FresnelParams, KeyFileError,
                           ParameterError, StegoKey, default_key_path, load_key,
@@ -119,6 +121,111 @@ def test_pgm_rejects_header_without_maxval_or_separator(tmp_path):
             read_pgm(path)
         assert err.value.offset == offset
         assert message in str(err.value)
+
+
+_PGM_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def _reference_decode_pgm(data: bytes):
+    """The strict PGM grammar, scanned one header byte at a time."""
+    if not data.startswith(b"P5"):
+        raise FormatError("not a binary PGM, magic P5 missing", offset=0)
+    if len(data) > 2 and data[2] not in _PGM_WHITESPACE + b"#":
+        raise FormatError("expected whitespace after magic P5", offset=2)
+    n, pos, values = len(data), 2, []
+    for name in ("width", "height", "maxval"):
+        while pos < n and (data[pos] in _PGM_WHITESPACE or data[pos] == ord("#")):
+            if data[pos] in _PGM_WHITESPACE:
+                pos += 1
+            else:  # a comment runs up to, not through, its line end
+                while pos < n and data[pos] not in b"\r\n":
+                    pos += 1
+        if pos >= n:
+            raise FormatError("header ended early", offset=pos)
+        start = pos
+        while pos < n and data[pos] not in _PGM_WHITESPACE:
+            pos += 1
+        token = data[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"{name} is not an integer: {token!r}", offset=start)
+        if int(token) <= 0:
+            raise FormatError(f"{name} must be positive, got {int(token)}", offset=start)
+        values.append(int(token))
+    width, height, maxval = values
+    if maxval != 255:
+        raise FormatError(f"maxval must be 255, got {maxval}", offset=start)
+    if pos >= n or data[pos] not in _PGM_WHITESPACE:
+        raise FormatError("expected one whitespace byte after maxval", offset=pos)
+    have, need = n - pos - 1, width * height
+    if have != need:
+        raise FormatError(f"payload is {have} bytes, expected {need}",
+                          offset=pos + 1 + min(have, need))
+    grid = np.frombuffer(data, np.uint8, offset=pos + 1).reshape(height, width)
+    return grid.astype(np.float64)
+
+
+def _pgm_outcome(decode):
+    """The grid's shape and bytes, or the FormatError's message and offset."""
+    try:
+        grid = decode()
+    except FormatError as exc:
+        return str(exc), exc.offset
+    return grid.shape, grid.tobytes()
+
+
+_whitespace_runs = st.lists(st.sampled_from(list(_PGM_WHITESPACE)), min_size=1,
+                            max_size=3).map(bytes)
+_comments = st.tuples(st.lists(st.sampled_from(list(b"a #5\t\x0b")), max_size=4).map(bytes),
+                      st.sampled_from([b"\r", b"\n", b""])).map(lambda t: b"#" + t[0] + t[1])
+_gaps = st.lists(st.one_of(_whitespace_runs, _comments), min_size=1, max_size=3).map(b"".join)
+_FAULTS = ("P6", "no gap", "junk", "digits", "payload", "cut")
+
+
+@st.composite
+def _pgm_files(draw):
+    """A P5 file with 1 to 9 payload bytes, its header tokens set apart by
+    runs of whitespace and comments, and up to two faults: magic P6, no gap
+    after the magic, a junk byte in a token, a token replaced by another
+    digit run, a payload of another length from 0 to 9 bytes, or the data
+    cut short."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    tokens = [b"%d" % width, b"%d" % height, draw(st.sampled_from([b"255", b"0255"]))]
+    if "junk" in faults:
+        i = draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(tokens[i])))
+        junk = draw(st.sampled_from([b"#", b"+", b"-", b"\x00", b"\xff"]))
+        tokens[i] = tokens[i][:at] + junk + tokens[i][at:]
+    if "digits" in faults:
+        tokens[draw(st.integers(0, 2))] = draw(
+            st.text("0123456789", min_size=1, max_size=4)).encode()
+    # a '#' right after a token is part of it, so only the magic meets a comment
+    gaps = [b"" if "no gap" in faults else draw(_gaps)] + [
+        draw(_whitespace_runs) + draw(_gaps) for _ in tokens[1:]]
+    size = draw(st.integers(0, 9)) if "payload" in faults else width * height
+    data = b"".join([b"P6" if "P6" in faults else b"P5"]
+                    + [gap + token for gap, token in zip(gaps, tokens)]
+                    + [draw(st.sampled_from([bytes([b]) for b in _PGM_WHITESPACE])),
+                       draw(st.binary(min_size=size, max_size=size))])
+    return data[:draw(st.integers(0, len(data)))] if "cut" in faults else data
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar") / "h.pgm"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=_pgm_files())
+@example(data=b"P5 2 2 255")
+@example(data=b"P5 1 2 0 \x00\x00")
+@example(data=b"P5 1 1 254\n\x00")
+@example(data=b"P5#c\r1\x0c1\x0b255\n\x00")
+@example(data=b"P5 1 1 # runs to the end")
+def test_pgm_header_grammar_matches_a_byte_by_byte_scan(pgm_path, data):
+    pgm_path.write_bytes(data)
+    assert _pgm_outcome(lambda: read_pgm(pgm_path)) == _pgm_outcome(
+        lambda: _reference_decode_pgm(data))
 
 
 def test_pgm_write_quantizes(tmp_path):
