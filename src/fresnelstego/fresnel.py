@@ -11,11 +11,11 @@ The exponent sign is a convention; the inverse applies the conjugate
 factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
 fftfreq negates bins exactly (nu[N - k] == -nu[k]), so row and column k
-take the factor of bin min(k, N - k), and the phase of (k, l) equals that
-of (l, k): one exponential serves each symmetric pair. The last factor
-built is kept, read-only, as its first N//2 + 1 rows with the columns
-mirrored, 16 * (N//2 + 1) * N bytes; it scales the spectrum's upper rows
-in place, and its rows in reverse order the lower ones. A real field
+take the factor of bin min(k, N - k). The last factor built is kept,
+read-only, as its first N//2 + 1 rows, 16 * (N//2 + 1) * N bytes: one
+broadcast exponential over the first N//2 + 1 bins of each axis, then
+those columns mirrored. It scales the spectrum's upper rows in place,
+and its rows in reverse order the lower ones. A real field
 takes pocketfft's real-input FFT (see _fft). Any square side works, odd
 ones included: the orthonormal DFT is unitary at every size.
 
@@ -78,10 +78,9 @@ class FresnelParams:
 def _half(side: int, params: FresnelParams) -> np.ndarray:
     h = side // 2 + 1
     nu2 = np.fft.fftfreq(side, d=params.pitch)[:h] ** 2
-    i, j = np.triu_indices(h)
     q = np.empty((h, side), np.complex128)
-    q[i, j] = q[j, i] = np.exp(
-        -1j * (np.pi * params.wavelength * params.distance * (nu2[i] + nu2[j])))
+    np.exp(-1j * (np.pi * params.wavelength * params.distance * (nu2[:, None] + nu2)),
+           out=q[:, :h])
     q[:, h:] = q[:, side - h:0:-1]
     q.flags.writeable = False
     return q

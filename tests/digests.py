@@ -2,13 +2,13 @@
 
 Prints one JSON object, keyed by case, over embed (the embedded grid and
 its report) and extract of float and u8 deliveries, the public transforms
-and scores, the scores at sides of several kernel leaves and in each
-memory layout, the private DCT on complex grids of each layout, the operator
-pair behind stego_pipeline._operator, the CLI commands run in-process
-(exit code, stdout, stderr and the bytes of every file written), error
-cases (exception type and message), read_pgm on headers that exercise
-its whitespace and comment grammar, and the list of warnings all of them
-raised.
+and scores, the Fresnel pair at odd sides, the scores at sides of several
+kernel leaves and in each memory layout, the private DCT on complex grids
+of each layout, the operator pair behind stego_pipeline._operator, the
+CLI commands run in-process (exit code, stdout, stderr and the bytes of
+every file written), error cases (exception type and message), read_pgm
+on headers that exercise its whitespace and comment grammar, and the list
+of warnings all of them raised.
 
 Run it against two source trees and compare:
 
@@ -109,10 +109,28 @@ def transform_cases(out):
         out[f"scramble/n{steps}"] = _digest(scramble(img, spec))
         out[f"unscramble/n{steps}"] = _digest(unscramble(img, spec))
     out["period"] = _digest([period(size) for size in (2, 3, 10, 64, 100, 480, 1024)])
+    for size in (4096, 65537, 1_000_003):
+        out[f"period/{size}"] = _digest(period(size))
     out["quantize_u8"] = _digest(quantize_u8(3.0 * img - 200.5))
     out["scores"] = _digest(mse(img, other), psnr(img, other), cc(img, other),
                             ssim(img, other), compare(img, other),
                             [psnr_from_mse(m) for m in (1e-320, 1.0, 1e300)])
+
+
+def odd_side_cases(out):
+    """The Fresnel pair at odd sides, on real and complex fields, at each of
+    DISTANCES and a metre-range key whose phases reach about 1e7 rad."""
+    rng = np.random.default_rng(13)
+    keys = {f"z{d}": FresnelParams(632.8e-9, d, 10e-6) for d in DISTANCES}
+    keys["metre"] = FresnelParams(632.8e-9, 1.0, 0.3e-6)
+    for side in (1, 3, 5, 127):
+        real = rng.standard_normal((side, side))
+        field = real + 1j * rng.standard_normal((side, side))
+        for name, params in keys.items():
+            for label, transform in (("propagate", propagate),
+                                     ("propagate_inverse", propagate_inverse)):
+                out[f"{label}/{side}/{name}"] = _digest(
+                    transform(real, params), transform(field, params))
 
 
 def score_cases(out):
@@ -301,8 +319,8 @@ def main(argv=None) -> int:
     out = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for cases in (pipeline_cases, transform_cases, score_cases, dct_cases,
-                      operator_cases, cli_cases, error_cases, pgm_header_cases):
+        for cases in (pipeline_cases, transform_cases, odd_side_cases, score_cases,
+                      dct_cases, operator_cases, cli_cases, error_cases, pgm_header_cases):
             cases(out)
     # every warning any case raised, without the source location
     out["warnings"] = _digest([f"{w.category.__name__}: {w.message}" for w in caught])

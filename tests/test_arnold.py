@@ -51,6 +51,22 @@ def test_period_rejects_bad_sizes():
             period(bad)
 
 
+def matrix_period(n):
+    """First t >= 1 with D**t the identity mod n, multiplying by D each step."""
+    (a, b), (c, d) = (1, 1), (1, 2)
+    t = 1
+    while (a, b, c, d) != (1, 0, 0, 1):
+        a, b, c, d = (a + b) % n, (a + 2 * b) % n, (c + d) % n, (c + 2 * d) % n
+        t += 1
+    return t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 5000))
+def test_period_matches_matrix_powers(size):
+    assert period(size) == matrix_period(size)
+
+
 def test_spec_normalizes_iterations():
     assert ArnoldSpec(size=128, iterations=96).iterations == 0
     assert ArnoldSpec(size=128, iterations=100).iterations == 4

@@ -104,8 +104,9 @@ def test_inverse_matches_conjugate_factor():
     # pins the sign convention, forward exp(-i phase) and inverse exp(+i phase),
     # and that the factor built from its quadrant equals the full-grid one bit for bit
     metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)  # phases near 1e7 rad
-    for side, p in ((2, DESK), (3, DESK), (4, DESK), (7, DESK), (32, DESK), (48, DESK),
-                    (100, DESK), (256, DESK), (256, metre_range)):
+    for side, p in ((1, DESK), (2, DESK), (3, DESK), (4, DESK), (5, DESK), (7, DESK),
+                    (9, DESK), (32, DESK), (48, DESK), (100, DESK), (127, DESK),
+                    (129, DESK), (256, DESK), (256, metre_range)):
         nu = np.fft.fftfreq(side, d=p.pitch)
         phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
         # a real field takes the real-input FFT in propagate and in scipy's fft2 alike
