@@ -16,6 +16,15 @@ scipy.fft's numpy backend does for norm="ortho" over axes (0, 1) at one
 thread, but a complex DCT is one call, on a float view with the parts on
 a trailing axis ([..., None] is contiguous at any strides), where scipy
 makes one per part; tests pin that the bits agree. None checks its input.
+
+Padded rows. At a power-of-two side a pass down axis 0 walks rows exactly
+2**k bytes apart, which fall into the same cache sets. On a 512 x 512
+complex grid (one thread, 2-vCPU Xeon guest) the DCT-III's axis-0 pass
+took 4.63 ms against 1.66 ms for axis 1. padded gives stego_pipeline a
+grid whose rows are followed by ROW_PAD float64 (64 bytes) each; pocketfft
+takes any strides and gives the same bits, and there the axis-0 pass took
+1.96 ms, idctn 3.57 ms instead of 6.14 and an in-place fft2 2.47 instead
+of 3.67. No function here reads or writes a pad sample.
 """
 from __future__ import annotations
 
@@ -28,6 +37,7 @@ import numpy as np
 
 _NAME = "scipy.fft._pocketfft.pypocketfft"
 _AXES = (0, 1)
+ROW_PAD = 8  # float64 samples after each row of a padded grid
 
 _pocketfft = sys.modules.get(_NAME)
 if _pocketfft is None:
@@ -41,9 +51,17 @@ if _pocketfft is None:
     _spec.loader.exec_module(_pocketfft)
 
 
-def fft2(a: np.ndarray) -> np.ndarray:
-    """Into a new complex grid; a real grid takes the real-input path."""
-    return _pocketfft.c2c(a, _AXES, True, 1, None, 1)
+def padded(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, grid): a new flat float64 buffer, uninitialized, and the
+    rows x cols complex view of it, each of whose rows is followed in flat
+    by ROW_PAD pad floats."""
+    flat = np.empty(rows * (2 * cols + ROW_PAD))
+    return flat, flat.view(np.complex128).reshape(rows, -1)[:, :cols]
+
+
+def fft2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Into out, or a new complex grid; a real grid takes the real-input path."""
+    return _pocketfft.c2c(a, _AXES, True, 1, out, 1)
 
 
 def ifft2(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ n mod 3: the even rows {a even} when n = 0 (mod 3), the checkerboard
 {a + b even} when n = 1, the even columns {b even} when n = 2. Only the
 order within the lattice depends on n. _layout gives that lattice as a
 view of a grid and the order as one permutation, and keeps its last
-pair: 4 * n**2 bytes.
+pair: 4 * n**2 bytes. The permutation indexes the even rows as
+stego_pipeline holds them, in a grid padded by _fft.ROW_PAD floats a row.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._fft import ROW_PAD
 from .errors import ShapeError
 from .numerics import as_grid, checked_count
 
@@ -98,9 +100,10 @@ def _even_sums(g):
 _LATTICES = (lambda g: g[0::2], _even_sums, lambda g: g[:, 0::2])
 
 
-def _positions(m, n, lattice, row_step):
-    """Read-only flat position of m @ x mod n, in an n-column grid that keeps
-    every row_step-th row, for each pixel x = (a, b) of lattice(n x n grid)."""
+def _positions(m, n, lattice, row_step, row_len):
+    """Read-only flat position of m @ x mod n, in a grid of rows row_len
+    apart that keeps every row_step-th row, for each pixel x = (a, b) of
+    lattice(n x n grid)."""
     (p, q), (r, s) = m
     # native intp indices: numpy gathers and scatters through int32 ones more slowly
     x, shape = np.arange(n), (n, n)
@@ -113,7 +116,7 @@ def _positions(m, n, lattice, row_step):
 
     # a row term plus a column term, each reduced mod n, is below 2n: wrap reduces it
     wrap = np.arange(2 * n) % n
-    idx = (wrap // row_step * n)[term(p, q)] + wrap[term(r, s)]
+    idx = (wrap // row_step * row_len)[term(p, q)] + wrap[term(r, s)]
     idx.flags.writeable = False
     return idx
 
@@ -122,11 +125,14 @@ def _positions(m, n, lattice, row_step):
 def _layout(size: int, n: int):
     """(lattice, perm) for n >= 0 steps at an even size: lattice(g) is the
     view of g's pixels x that D**n moves onto an even row, and perm holds,
-    in that view's shape, the flat index of D**n x in the even rows g[0::2].
-    So lattice(out)[...] = rows.ravel()[perm] writes unscramble of a grid
-    whose even rows are rows and whose odd rows are zero."""
+    in that view's shape, the flat index of D**n x in the even rows g[0::2]
+    laid out as a size/2 x (size + ROW_PAD) grid, each row followed by
+    ROW_PAD pad samples that perm never indexes. So, with rows that grid,
+    lattice(out)[...] = rows.ravel()[perm] writes unscramble of a grid
+    whose even rows are rows[:, :size] and whose odd rows are zero."""
     lattice = _LATTICES[n % 3]
-    return lattice, _positions(_mat_pow(_FORWARD, n, size), size, lattice, 2)
+    return lattice, _positions(_mat_pow(_FORWARD, n, size), size, lattice, 2,
+                               size + ROW_PAD)
 
 
 def _gather(img, spec: ArnoldSpec, m) -> np.ndarray:
@@ -135,7 +141,7 @@ def _gather(img, spec: ArnoldSpec, m) -> np.ndarray:
     n = spec.size
     if g.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} grid, got {g.shape[0]}x{g.shape[1]}")
-    return g.ravel()[_positions(_mat_pow(m, spec.iterations, n), n, lambda v: v, 1)]
+    return g.ravel()[_positions(_mat_pow(m, spec.iterations, n), n, lambda v: v, 1, n)]
 
 
 def scramble(img, spec: ArnoldSpec) -> np.ndarray:

@@ -38,7 +38,7 @@ from .errors import ParameterError, ShapeError, StegoError
 from .formats import (load_key, quantize_u8, read_image, write_float_image,
                       write_image, write_pgm)
 from .metrics import MetricsReport, _bounded, _compare, compare
-from .stego_pipeline import _embed, _extract
+from .stego_pipeline import READERS, _embed, _extract
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--host", required=True, help="the original cover image")
     cmd.add_argument("--key", required=True, help="the key used at embed time")
     cmd.add_argument("--out", required=True, help="output path (.pgm quantizes)")
+    cmd.add_argument("--reader", choices=READERS, default="modulus",
+                     help="modulus is the paper's reader; coherent returns the "
+                          "least-squares secret, signed")
     cmd.set_defaults(run=_cmd_extract)
 
     cmd = commands.add_parser("metrics", help="compare two images")
@@ -137,7 +140,8 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     embedded = read_image(args.embedded)
-    write_image(_extract(embedded, read_image(args.host), load_key(args.key)), args.out)
+    write_image(_extract(embedded, read_image(args.host), load_key(args.key), args.reader),
+                args.out)
     return EXIT_OK
 
 

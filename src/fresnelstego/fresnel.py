@@ -87,19 +87,25 @@ def _half(side: int, params: FresnelParams) -> np.ndarray:
 
 
 @_quiet
-def _filter(f: np.ndarray, params: FresnelParams, inverse: bool) -> ComplexGrid:
+def _filter(f: np.ndarray, params: FresnelParams, inverse: bool,
+            out: np.ndarray | None = None) -> ComplexGrid:
+    """The filtered field, in out (a complex grid of f's shape at any
+    strides, f itself allowed) or else a new C-ordered grid."""
     if params.wavelength * params.distance == 0.0:
         # the transfer factor is identically one; skip the FFT pair so the
-        # degenerate case is bit-exact, not merely close. A C-ordered copy,
-        # as the FFT's result is: stego_pipeline._forward transforms it in
-        # place and reads it through a float64 view
-        return f.astype(np.complex128, order="C")
+        # degenerate case is bit-exact, not merely close. A copy into out,
+        # the padded grid stego_pipeline goes on to transform in place, or
+        # else into a new C-ordered grid, as the FFT's result is
+        if out is None:
+            out = np.empty(f.shape, np.complex128)
+        out[...] = f
+        return out
     side = f.shape[0]
     q = _half(side, params)
     if inverse:
         q = np.conj(q)  # exp(i * phase), exactly
     h = len(q)
-    spectrum = _fft.fft2(f)
+    spectrum = _fft.fft2(f, out)
     spectrum[:h] *= q
     spectrum[h:] *= q[side - h:0:-1]
     return _fft.ifft2(spectrum)

@@ -12,8 +12,11 @@ inverse up to that factor, _field(A x) = exp(i pi/4) * x for every key,
     A^T y = 2 s**2 * Re(exp(-i pi/4) * _field(y)),  A^+ = A^T / (2 s**2),
 
 and extract's |_field(lattice(embedded) - lattice(host))| is the paper's
-reader for any difference, noisy 8-bit deliveries included. Extraction
-is non-blind: it needs the original host and the same key.
+reader for any difference, noisy 8-bit deliveries included. Its coherent
+reader is A^+ y = Re(exp(-i pi/4) * _field(y)), the least-squares secret:
+signed, where the modulus returns |x|, and free of the quadrature half
+that clipping leaves. Extraction is non-blind: it needs the original host
+and the same key.
 
 _forward, _field, _embed and _extract scan no samples and, under _embed's
 and _extract's _quiet, warn of nothing; embed's report and extract's
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fft import dctn, idctn
+from ._fft import dctn, idctn, padded
 from .arnold import _layout
 from .errors import ParameterError, ShapeError
 from .fresnel import FresnelParams, _filter
@@ -63,6 +66,9 @@ class StegoKey:
         object.__setattr__(self, "strength", s)
 
 
+READERS = ("modulus", "coherent")  # extract's readers, the paper's first
+
+
 class EmbedResult(NamedTuple):
     embedded: ImageGrid
     report: MetricsReport
@@ -79,9 +85,10 @@ def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
     (1 + i) * idct2(propagate_inverse(secret)), the secret being real and
     the factor even. unscramble(D) is zero off one lattice fixed by n mod 3
     (arnold's parity rule); arnold._layout gives the order within it."""
-    coded = idctn(_filter(secret_grid, key.fresnel, True), overwrite=True)
+    flat, coded = padded(side // 2, side // 2)
+    idctn(_filter(secret_grid, key.fresnel, True, coded), overwrite=True)
     coded *= (1 + 1j) * key.strength
-    return coded.view(np.float64).ravel()[_layout(side, key.arnold_iterations)[1]]
+    return flat[_layout(side, key.arnold_iterations)[1]]
 
 
 def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
@@ -89,13 +96,19 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     side host's lattice shape scattered back into D[0::2]'s order as complex
     pairs. It undoes _forward's transforms in reverse, so _field(A x) =
     (1 + i) / sqrt(2) * x, and its modulus is the paper's average over the
-    two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|."""
-    w = np.empty(side * side // 2)
-    w[_layout(side, key.arnold_iterations)[1]] = diff_lattice
+    two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|. The result
+    is the padded work grid itself, so its rows are not contiguous."""
+    flat, w = padded(side // 2, side // 2)
+    flat[_layout(side, key.arnold_iterations)[1]] = diff_lattice
     del diff_lattice  # extract's temporary, freed before the transforms
-    w /= np.sqrt(2.0) * key.strength  # before the DCT, as in the closed-form chain
-    w = w.reshape(side // 2, side).view(np.complex128)
-    return _filter(dctn(w, overwrite=True), key.fresnel, False)
+    parts = w.view(np.float64)  # the data's floats: no pad sample is read
+    parts /= np.sqrt(2.0) * key.strength  # before the DCT, as in the closed-form chain
+    return _filter(dctn(w, overwrite=True), key.fresnel, False, w)
+
+
+def _coherent(field: np.ndarray) -> np.ndarray:
+    # Re(exp(-i pi/4) * field), C-ordered: x itself for field = _field(A x)
+    return (np.exp(-1j * np.pi / 4) * field).real.copy()
 
 
 def _operator(key: StegoKey, side: int, mask=None):
@@ -122,7 +135,7 @@ def _operator(key: StegoKey, side: int, mask=None):
         lattice = np.zeros(shape)
         lattice[keep] = y.ravel()
         field = _field(lattice, key, side)
-        return 2 * key.strength ** 2 * (np.exp(-1j * np.pi / 4) * field).real.ravel()
+        return 2 * key.strength ** 2 * _coherent(field).ravel()
 
     return LinearOperator((int(np.count_nonzero(keep)), half * half), matvec=matvec,
                           rmatvec=rmatvec, dtype=np.float64)
@@ -156,9 +169,11 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
 
 
 @_quiet
-def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey) -> ImageGrid:
-    """extract's core for checked grids: the shape and strength rules, then the
-    recovery, which may hold inf or nan where the arithmetic overflowed."""
+def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey,
+             reader: str = "modulus") -> ImageGrid:
+    """extract's core for checked grids: the shape, strength and reader rules,
+    then the recovery, which may hold inf or nan where the arithmetic
+    overflowed."""
     checked_square(embedded_grid, "embedded image", 4)
     side = checked_square(host_grid, "host", 4).shape[0]
     if embedded_grid.shape != host_grid.shape:
@@ -166,12 +181,18 @@ def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey) -> I
             f"shape mismatch: embedded {embedded_grid.shape} vs host {host_grid.shape}")
     if key.strength == 0.0:
         raise ParameterError("strength must be positive for extraction")
+    if reader not in READERS:
+        raise ParameterError(f"reader must be one of {', '.join(READERS)}, got {reader!r}")
 
     lattice = _layout(side, key.arnold_iterations)[0]
-    return np.abs(_field(lattice(embedded_grid) - lattice(host_grid), key, side))
+    field = _field(lattice(embedded_grid) - lattice(host_grid), key, side)
+    return np.abs(field) if reader == "modulus" else _coherent(field)
 
 
-def extract(embedded, host, key: StegoKey) -> ImageGrid:
+def extract(embedded, host, key: StegoKey, *, reader: str = "modulus") -> ImageGrid:
     """Recover the hidden image from an embedded image given the original
-    host and the exact key. A recovery that overflows raises DataError."""
-    return as_image(_extract(as_image(embedded), as_image(host), key))
+    host and the exact key. reader "modulus" is the paper's; "coherent"
+    returns the least-squares secret, signed, which drops the quadrature
+    half an 8-bit clamp leaves (see the module docstring). A recovery that
+    overflows raises DataError."""
+    return as_image(_extract(as_image(embedded), as_image(host), key, reader))

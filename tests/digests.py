@@ -1,7 +1,8 @@
 """SHA-256 digests of the package's outputs, to show that a change keeps them.
 
 Prints one JSON object, keyed by case, over embed (the embedded grid and
-its report) and extract of float and u8 deliveries, the public transforms
+its report) and extract of float and u8 deliveries with each reader
+(extract-coherent/... for the coherent one), the public transforms
 and scores, the Fresnel pair at odd sides, the scores at sides of several
 kernel leaves and in each memory layout, the private DCT on complex grids
 of each layout, the operator pair behind stego_pipeline._operator, the
@@ -89,6 +90,9 @@ def pipeline_cases(out):
                 out[f"extract/u8/{case}"] = _digest(
                     delivered, _outcome(lambda: compare(host, delivered)),
                     _outcome(lambda: extract(delivered, host, key)))
+                for name, grid in (("float", result.embedded), ("u8", delivered)):
+                    out[f"extract-coherent/{name}/{case}"] = _digest(_outcome(
+                        lambda: extract(grid, host, key, reader="coherent")))
 
 
 def transform_cases(out):
@@ -219,6 +223,10 @@ def cli_cases(out):
                         out[f"cli/extract/{side}/{mode}/{target}"] = _cli(
                             work, "extract", "--embedded", embedded, "--host",
                             f"h{side}.pgm", "--key", "k.key", "--out", target)
+                        out[f"cli/extract-coherent/{side}/{mode}/{target}"] = _cli(
+                            work, "extract", "--embedded", embedded, "--host",
+                            f"h{side}.pgm", "--key", "k.key", "--out", target,
+                            "--reader", "coherent")
                     out[f"cli/metrics/{side}/{mode}"] = _cli(
                         work, "metrics", "--a", f"h{side}.pgm", "--b", embedded)
                     out[f"cli/metrics-json/{side}/{mode}"] = _cli(
@@ -241,6 +249,9 @@ def cli_cases(out):
             out["cli/error/p5-digit"] = _cli(work, "histogram", "--in", "p5digit.pgm")
             out["cli/error/missing-file"] = _cli(work, "histogram", "--in", "absent.pgm")
             out["cli/error/usage"] = _cli(work, "arnold", "period", "--size", "+4")
+            out["cli/error/reader"] = _cli(
+                work, "extract", "--embedded", "h64.pgm", "--host", "h64.pgm", "--key",
+                "k.key", "--out", "r.fimg", "--reader", "phase")
             out["cli/error/bad-key"] = _cli(
                 work, "extract", "--embedded", "h64.pgm", "--host", "h64.pgm", "--key",
                 "bad.key", "--out", "r.fimg")
@@ -263,6 +274,12 @@ def error_cases(out):
         "extract/overflowing-dct": lambda: extract(
             np.full((64, 64), 1e307), np.zeros((64, 64)), StegoKey(DESK, 12, 1.0)),
         "extract/shape-mismatch": lambda: extract(host, np.zeros((32, 32)), DESK_KEY),
+        "extract/reader": lambda: extract(host, host, DESK_KEY, reader="phase"),
+        "extract-coherent/zero-strength": lambda: extract(
+            host, host, StegoKey(DESK, 12, 0.0), reader="coherent"),
+        "extract-coherent/overflowing-dct": lambda: extract(
+            np.full((64, 64), 1e307), np.zeros((64, 64)), StegoKey(DESK, 12, 1.0),
+            reader="coherent"),
         "propagate/overflow": lambda: propagate(np.full((64, 64), 3e306), DESK),
         "dct2/overflow": lambda: dct2(np.full((64, 64), 1e308)),
         "idwt2/overflow": lambda: idwt2([np.full((32, 32), 1e308)] * 4),

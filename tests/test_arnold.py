@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from fresnelstego import (ArnoldSpec, ParameterError, ShapeError, period,
                           scramble, unscramble)
+from fresnelstego._fft import ROW_PAD
 from fresnelstego.arnold import _layout
 
 
 def index_grid(n):
     return np.arange(n * n, dtype=np.float64).reshape(n, n)
+
+
+def padded_rows(rows):
+    """rows as the layout indexes them, ROW_PAD samples after each row; the
+    pad holds NaN, so a permutation that reads it fails every comparison"""
+    return np.pad(rows, ((0, 0), (0, ROW_PAD)), constant_values=np.nan)
 
 
 def first_return_time(n):
@@ -232,7 +239,8 @@ def test_gathers_keep_no_index(gather):
 @pytest.mark.parametrize("side", list(range(2, 41, 2)) + [480, 1024])
 def test_layout_equals_plain_modular_formula(side):
     # the layout sends each lattice pixel x to D**n x, which is also the
-    # adjugate to the power cycle - n, on an even row; perm is its flat index there
+    # adjugate to the power cycle - n, on an even row; perm is its flat index
+    # there, in even rows ROW_PAD samples longer than the side
     cycle = period(side)
     rows, cols = np.indices((side, side))
     for steps in sorted({0, 1, 7 % cycle, cycle - 1}):
@@ -242,7 +250,8 @@ def test_layout_equals_plain_modular_formula(side):
             r, col = lattice(rows), lattice(cols)
             to_row, to_col = (a * r + b * col) % side, (c * r + d * col) % side
             assert np.all(to_row % 2 == 0), (steps, count)
-            assert np.array_equal(perm, to_row // 2 * side + to_col), (steps, count)
+            assert np.array_equal(perm, to_row // 2 * (side + ROW_PAD) + to_col), (
+                steps, count)
 
 
 def test_layout_is_shared_and_read_only():
@@ -253,7 +262,7 @@ def test_layout_is_shared_and_read_only():
     with pytest.raises(ValueError):
         perm[0, 0] = 1
     img = index_grid(16)
-    rows = scramble(img, ArnoldSpec(16, 5))[0::2]
+    rows = padded_rows(scramble(img, ArnoldSpec(16, 5))[0::2])
     assert np.array_equal(rows.ravel()[perm], lattice(img))
 
 
@@ -275,5 +284,5 @@ def test_layout_is_unscramble_of_the_even_rows():
             assert np.array_equal(mask, expected != 0), (side, n)
             assert np.array_equal(mask, by_class[n % 3]), (side, n)
             written = np.zeros((side, side))
-            lattice(written)[...] = numbered[0::2].ravel()[perm]
+            lattice(written)[...] = padded_rows(numbered[0::2]).ravel()[perm]
             assert np.array_equal(written, expected), (side, n)

@@ -119,6 +119,23 @@ def test_extract_to_pgm_quantizes(workspace):
     assert np.array_equal(recovered, quantize_u8(secret))
 
 
+@pytest.mark.parametrize("mode", ("float", "u8"))
+@pytest.mark.parametrize("reader", ("modulus", "coherent"))
+def test_extract_reader_flag_gives_the_librarys_bytes(workspace, capsys, mode, reader):
+    embedded = workspace / ("e.fimg" if mode == "float" else "e.pgm")
+    assert run("embed", "--host", workspace / "host.pgm", "--secret",
+               workspace / "secret.pgm", "--key", workspace / "desk.key",
+               "--out", embedded, "--mode", mode) == 0
+    argv = ["extract", "--embedded", embedded, "--host", workspace / "host.pgm",
+            "--key", workspace / "desk.key", "--out", workspace / "r.fimg"]
+    if reader != "modulus":  # the default
+        argv += ["--reader", reader]
+    assert run(*argv) == 0
+    expected = extract(read_image(embedded), read_pgm(workspace / "host.pgm"),
+                       load_key(workspace / "desk.key"), reader=reader)
+    assert read_image(workspace / "r.fimg").tobytes() == expected.tobytes()
+
+
 def test_arnold_scramble_unscramble_files(workspace):
     assert run("arnold", "scramble", "--in", workspace / "host.pgm",
                "--n", 7, "--out", workspace / "s.pgm") == 0

@@ -27,7 +27,7 @@ def run_python(code):
 
 def test_import_leaves_scipy_fft_unloaded(tmp_path):
     # scipy's own init does not run either, and a float embed and extract
-    # through the CLI load nothing more of it
+    # through the CLI, with either reader, load nothing more of it
     run_python(f"""
 import sys
 import fresnelstego, fresnelstego.cli
@@ -48,6 +48,8 @@ assert fresnelstego.cli.cli_main(["embed", "--host", d + "/host.pgm", "--secret"
     d + "/secret.pgm", "--key", key, "--out", d + "/embedded.fimg"]) == 0
 assert fresnelstego.cli.cli_main(["extract", "--embedded", d + "/embedded.fimg", "--host",
     d + "/host.pgm", "--key", key, "--out", d + "/secret.fimg"]) == 0
+assert fresnelstego.cli.cli_main(["extract", "--embedded", d + "/embedded.fimg", "--host",
+    d + "/host.pgm", "--key", key, "--out", d + "/signed.fimg", "--reader", "coherent"]) == 0
 check()
 """)
 

@@ -13,6 +13,7 @@ from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           fresnelet_synthesize, idct2, idwt2, magnitude, mse, period,
                           propagate, propagate_inverse, psnr, quantize_u8,
                           scramble, unscramble)
+from fresnelstego import _fft, stego_pipeline
 from fresnelstego.arnold import _layout
 from fresnelstego.stego_pipeline import _extract, _field, _forward, _operator
 from synth import textured_image
@@ -394,8 +395,9 @@ def staged_extract(embedded, host, key):
     return np.abs(fresnelet_synthesize(quad, key.fresnel))
 
 
-# 256 is lib-256-onekey's host side, so the chain is pinned at a benchmark size
-@pytest.mark.parametrize("side", (12, 20, 100, 256))
+# 256, 512 and 1024 are the host sides of lib-256-onekey, cli-512-files and
+# lib-1024-keychurn, so the chain is pinned at every benchmark size
+@pytest.mark.parametrize("side", (12, 20, 100, 256, 512, 1024))
 def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
     # steps 5, 7, 12, 13, 14 cover all three lattices: n = 0, 1, 2 (mod 3) write
     # the payload onto the even rows, the checkerboard or the even columns
@@ -413,6 +415,85 @@ def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
             w = scramble(delivered - host, spec)[0::2] / (np.sqrt(2.0) * key.strength)
             chain = np.abs(propagate(dctn(w.view(np.complex128), norm="ortho"), key.fresnel))
             assert extract(delivered, host, key).tobytes() == chain.tobytes(), steps
+
+
+@pytest.mark.parametrize("side", (12, 100, 256))
+def test_pad_samples_are_never_read(side, monkeypatch):
+    # _forward and _field work in a grid whose rows carry ROW_PAD samples more;
+    # with the whole buffer NaN, pad included, every output keeps its bytes
+    host = textured_image(side, side)
+    secret = textured_image(side // 2, side + 1, rolloff=6.0)
+    keys = [StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, 0.08)
+            for steps in (12, 13, 14) for distance in (0.05, 0.0)]  # each lattice
+    y = np.random.default_rng(side).standard_normal(side * side // 2)
+
+    def outputs():
+        # (whether a public function returned it, the grid)
+        for key in keys:
+            embedded = embed(host, secret, key).embedded
+            yield False, _forward(secret, key, side)
+            yield False, _field(y.reshape(_layout(side, key.arnold_iterations)[1].shape),
+                                key, side)
+            yield True, embedded
+            for delivered in (embedded, quantize_u8(embedded)):
+                yield True, extract(delivered, host, key)
+                yield True, extract(delivered, host, key, reader="coherent")
+
+    clean = list(outputs())
+    calls = []
+
+    def poisoned(rows, cols):
+        calls.append((rows, cols))
+        flat, grid = _fft.padded(rows, cols)
+        flat.fill(np.nan)
+        return flat, grid
+
+    monkeypatch.setattr(stego_pipeline, "padded", poisoned)
+    dirty = list(outputs())
+    assert calls and set(calls) == {(side // 2, side // 2)}
+    for (_, before), (public, after) in zip(clean, dirty, strict=True):
+        assert np.all(np.isfinite(after))
+        assert after.tobytes() == before.tobytes()
+        assert after.flags.c_contiguous or not public
+    img = textured_image(side, 3)
+    for grid in (propagate(img, DESK_KEY.fresnel), *fresnelet_analyze(img, DESK_KEY.fresnel),
+                 dct2(img)):
+        assert grid.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(1, 32).map(lambda k: 4 * k),
+       steps=st.integers(0, 300),
+       distance=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       strength=st.floats(1e-3, 2.0),
+       signed=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@example(side=512, steps=13, distance=0.05, strength=0.08, signed=False, seed=0)
+@example(side=512, steps=14, distance=2.0, strength=1e-3, signed=True, seed=1)
+def test_coherent_reader_returns_the_signed_secret(side, steps, distance, strength, signed,
+                                                    seed):
+    # on a float embed the coherent read is the secret itself and the modulus
+    # read its absolute value, so the two agree exactly where x >= 0
+    key = StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, strength)
+    rng = np.random.default_rng(seed)
+    host = 255 * rng.random((side, side))
+    secret = 255 * (rng.random((side // 2, side // 2)) - 0.5 * signed)
+    embedded = embed(host, secret, key).embedded
+    coherent = extract(embedded, host, key, reader="coherent")
+    modulus = extract(embedded, host, key)
+    bound = 1e-9 * np.max(np.abs(secret))
+    assert np.max(np.abs(coherent - secret)) <= bound
+    assert np.max(np.abs(modulus - np.abs(secret))) <= bound
+    if not signed:
+        assert np.max(np.abs(coherent - modulus)) <= bound
+
+
+def test_extract_rejects_an_unknown_reader():
+    host, secret = textured_image(16, 1), textured_image(8, 2)
+    embedded = embed(host, secret, DESK_KEY).embedded
+    for reader in ("Modulus", "", None, 1):
+        with pytest.raises(ParameterError, match="reader must be one of modulus, coherent"):
+            extract(embedded, host, DESK_KEY, reader=reader)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
