@@ -25,6 +25,18 @@ grid whose rows are followed by ROW_PAD float64 (64 bytes) each; pocketfft
 takes any strides and gives the same bits, and there the axis-0 pass took
 1.96 ms, idctn 3.57 ms instead of 6.14 and an in-place fft2 2.47 instead
 of 3.67. No function here reads or writes a pad sample.
+
+A padded buffer is a size no other grid of the pipeline has (8 KiB more
+than the grid at a 256 host), so a new one fits the holes that embed and
+extract leave in glibc's heap less well. Where glibc has just trimmed
+the heap, as in some benchmark loop processes it did each time another
+copy of the package ran between two calls, an embed that allocated it
+took 224 minor page faults instead of 96, and the processes that fell
+into that state ran 11-13% slower than the rest. padded therefore takes
+within: embed hands it the output image, which holds at least as many
+floats as the padded grid at any side from 8 up, and the transforms run
+there before the image is written; its faults in that state are 96
+again.
 """
 from __future__ import annotations
 
@@ -51,11 +63,17 @@ if _pocketfft is None:
     _spec.loader.exec_module(_pocketfft)
 
 
-def padded(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, grid): a new flat float64 buffer, uninitialized, and the
-    rows x cols complex view of it, each of whose rows is followed in flat
-    by ROW_PAD pad floats."""
-    flat = np.empty(rows * (2 * cols + ROW_PAD))
+def padded(rows: int, cols: int,
+           within: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, grid): a flat float64 buffer, uninitialized, and the rows x
+    cols complex view of it, each of whose rows is followed in flat by
+    ROW_PAD pad floats. The buffer is the start of within, a C-ordered
+    float64 array, if that is long enough, and new otherwise."""
+    size = rows * (2 * cols + ROW_PAD)
+    if within is not None and within.size >= size:
+        flat = within.reshape(-1)[:size]
+    else:
+        flat = np.empty(size)
     return flat, flat.view(np.complex128).reshape(rows, -1)[:, :cols]
 
 

@@ -74,9 +74,11 @@ class EmbedResult(NamedTuple):
     report: MetricsReport
 
 
-def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
+def _forward(secret_grid: ImageGrid, key: StegoKey, side: int,
+             within: np.ndarray | None = None) -> np.ndarray:
     """A x for a checked secret: s * D[0::2] as (real, imag) pairs, in the
-    shape of a side x side host's lattice view.
+    shape of a side x side host's lattice view. The transforms run in the
+    start of within, a C-ordered float64 array, if it is long enough.
 
     With F = propagate(secret) and P + iQ = idct2(F), on Re and Im alike
     idct2(dct2(band) + s * Re F) = band + s * P, and idwt2(P, P, Q, Q) = D
@@ -85,7 +87,7 @@ def _forward(secret_grid: ImageGrid, key: StegoKey, side: int) -> np.ndarray:
     (1 + i) * idct2(propagate_inverse(secret)), the secret being real and
     the factor even. unscramble(D) is zero off one lattice fixed by n mod 3
     (arnold's parity rule); arnold._layout gives the order within it."""
-    flat, coded = padded(side // 2, side // 2)
+    flat, coded = padded(side // 2, side // 2, within)
     idctn(_filter(secret_grid, key.fresnel, True, coded), overwrite=True)
     coded *= (1 + 1j) * key.strength
     return flat[_layout(side, key.arnold_iterations)[1]]
@@ -151,10 +153,13 @@ def _embed(host_grid: ImageGrid, secret_grid: ImageGrid, key: StegoKey) -> Image
             f"secret must be {expected[0]}x{expected[1]} for a {side}x{side} host, "
             f"got {secret_grid.shape[0]}x{secret_grid.shape[1]}")
 
-    payload = _forward(secret_grid, key, side)  # before the host copy, which it would evict
+    # the transforms run in the image's memory before the host is copied
+    # there, so the padded grid is no allocation of its own (see _fft)
+    embedded = np.empty(host_grid.shape)
+    payload = _forward(secret_grid, key, side, embedded)
     lattice = _layout(side, key.arnold_iterations)[0]
     # + 0.0 turns a -0.0 host sample into 0.0, as adding D's zero rows did
-    embedded = host_grid + 0.0
+    np.add(host_grid, 0.0, out=embedded)
     np.add(payload, lattice(host_grid), out=lattice(embedded))
     return embedded
 

@@ -175,3 +175,23 @@ def test_unaligned_buffers():
     assert as_image(buffer) is buffer
     assert_same_bits(dct2(buffer), scipy.fft.dctn(real, norm="ortho"))
     assert_same_bits(idct2(buffer), scipy.fft.idctn(real, norm="ortho"))
+
+
+def test_padded_takes_the_start_of_within_when_it_is_long_enough():
+    # embed passes its output image: from side 8 up it holds the padded grid
+    for side in (4, 8, 256):
+        rows = side // 2
+        size = rows * (side + _fft.ROW_PAD)
+        within = np.empty((side, side))
+        flat, grid = _fft.padded(rows, rows, within)
+        assert flat.size == size and grid.shape == (rows, rows)
+        assert grid.dtype == np.complex128 and not grid.flags.owndata
+        assert np.shares_memory(flat, within) == (within.size >= size), side
+        if within.size >= size:
+            assert flat.ctypes.data == within.ctypes.data
+        else:
+            assert flat.flags.owndata
+        flat[...] = np.arange(size)
+        # each row of the grid is followed by ROW_PAD pad floats in flat
+        assert np.array_equal(grid.view(np.float64),
+                              np.arange(size).reshape(rows, -1)[:, :side])

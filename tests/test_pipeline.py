@@ -442,9 +442,11 @@ def test_pad_samples_are_never_read(side, monkeypatch):
     clean = list(outputs())
     calls = []
 
-    def poisoned(rows, cols):
+    def poisoned(rows, cols, within=None):
+        # embed's grid is the start of its output image, so this also checks
+        # that embed writes every sample of the image after the transforms
         calls.append((rows, cols))
-        flat, grid = _fft.padded(rows, cols)
+        flat, grid = _fft.padded(rows, cols, within)
         flat.fill(np.nan)
         return flat, grid
 
