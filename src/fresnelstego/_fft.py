@@ -24,7 +24,12 @@ took 4.63 ms against 1.66 ms for axis 1. padded gives stego_pipeline a
 grid whose rows are followed by ROW_PAD float64 (64 bytes) each; pocketfft
 takes any strides and gives the same bits, and there the axis-0 pass took
 1.96 ms, idctn 3.57 ms instead of 6.14 and an in-place fft2 2.47 instead
-of 3.67. No function here reads or writes a pad sample.
+of 3.67. No transform here reads or writes a pad sample. padded zeroes
+the pad, so stego_pipeline scales the whole flat buffer in one pass,
+where numpy runs an element-wise product on the strided grid row by row:
+at a 1024 host, 0.19 ms against 0.51-0.62 for (1 + i) * s and 0.41-0.45
+against 0.76-0.79 for the division. Garbage there could overflow or be a
+signalling NaN, and warn where no _quiet is active.
 
 A padded buffer is a size no other grid of the pipeline has (8 KiB more
 than the grid at a 256 host), so a new one fits the holes that embed and
@@ -65,15 +70,17 @@ if _pocketfft is None:
 
 def padded(rows: int, cols: int,
            within: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, grid): a flat float64 buffer, uninitialized, and the rows x
-    cols complex view of it, each of whose rows is followed in flat by
-    ROW_PAD pad floats. The buffer is the start of within, a C-ordered
-    float64 array, if that is long enough, and new otherwise."""
+    """(flat, grid): a flat float64 buffer and the rows x cols complex view
+    of it, each of whose rows is followed in flat by ROW_PAD pad floats,
+    zero; the grid's samples are uninitialized. The buffer is the start of
+    within, a C-ordered float64 array, if that is long enough, and new
+    otherwise."""
     size = rows * (2 * cols + ROW_PAD)
     if within is not None and within.size >= size:
         flat = within.reshape(-1)[:size]
     else:
         flat = np.empty(size)
+    flat.reshape(rows, -1)[:, 2 * cols:] = 0.0  # so a scaling of flat meets no garbage
     return flat, flat.view(np.complex128).reshape(rows, -1)[:, :cols]
 
 

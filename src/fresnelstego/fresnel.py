@@ -10,14 +10,23 @@ and transformed back. Unit modulus makes the operation exactly unitary.
 The exponent sign is a convention; the inverse applies the conjugate
 factor, so round trips cancel exactly either way. Wavelength and distance
 enter only through their product, which is the effective key scalar.
-fftfreq negates bins exactly (nu[N - k] == -nu[k]), so row and column k
-take the factor of bin min(k, N - k). The last factor built is kept,
-read-only, as its first N//2 + 1 rows, 16 * (N//2 + 1) * N bytes: one
-broadcast exponential over the first N//2 + 1 bins of each axis, then
-those columns mirrored. It scales the spectrum's upper rows in place,
-and its rows in reverse order the lower ones. A real field
-takes pocketfft's real-input FFT (see _fft). Any square side works, odd
-ones included: the orthonormal DFT is unitary at every size.
+On an N x N grid, bin (k, l) takes exp(-i pi alpha (k**2 + l**2)) =
+u_k * u_l, alpha = wavelength * distance / (N * pitch)**2. Every float is
+a binary rational, so alpha is an exact one (_alpha), and u_k comes from
+alpha * k**2 mod 2 reduced in integers and rounded once (Payne & Hanek,
+ACM SIGNUM Newsletter 1983, on argument reduction). Phases run to 2e10
+rad, where a float evaluation loses up to 5e-6; this factor is within a
+few ulps of exact at every key, keys whose alpha agree mod 2 give the
+same bytes, and at integer alpha (a Talbot plane: Berry & Klein, J. Mod.
+Opt. 1996) every factor is exactly 1 or -1. Bin N - k is frequency -k,
+so row and column k take the factor of bin min(k, N - k). The last
+factor built is kept, read-only, as its first N//2 + 1 rows,
+16 * (N//2 + 1) * N bytes: the outer product of u over those rows and u
+mirrored over all N columns. It scales the spectrum's upper rows in
+place, and its rows in reverse order the lower ones, row by row on
+stego_pipeline's padded grid. A real field takes pocketfft's real-input
+FFT (see _fft). Any square side works, odd ones included: the
+orthonormal DFT is unitary at every size.
 
 A Fresnelet (Liebling, Blu & Unser, IEEE TIP 2003) is this stage, then
 the level-1 Haar step; synthesis runs both inverses in reverse. Both are
@@ -65,8 +74,10 @@ class FresnelParams:
             raise ParameterError(f"pitch must be positive, got {self.pitch}")
         if self.distance < 0.0:
             raise ParameterError(f"distance must be non-negative, got {self.distance}")
-        # the largest phase _filter forms, at nu_max = 0.5 / pitch; any factor that
-        # overflows makes it inf or nan, as float * and / overflow without raising
+        # the largest transfer phase, at nu_max = 0.5 / pitch, in float; keys
+        # where it overflows stay invalid, though _half reduces phases exactly.
+        # Any factor that overflows makes it inf or nan, as float * and / do
+        # without raising
         nu_max = 0.5 / self.pitch
         phase = math.pi * self.wavelength * self.distance * (2.0 * nu_max * nu_max)
         if not math.isfinite(phase):
@@ -74,14 +85,34 @@ class FresnelParams:
                 f"wavelength, distance and pitch give a non-finite Fresnel phase ({phase})")
 
 
+def _alpha(side: int, params: FresnelParams) -> tuple[int, int]:
+    """alpha = wavelength * distance / (side * pitch)**2, the phase over pi
+    of bin (k, l) being alpha * (k**2 + l**2), exactly, as the integer pair
+    (num, den) in lowest terms: every float is a binary rational."""
+    a, b = params.wavelength.as_integer_ratio()
+    c, d = params.distance.as_integer_ratio()
+    e, f = params.pitch.as_integer_ratio()
+    num, den = a * c * f * f, b * d * (e * side) ** 2
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+_QUARTER_TURNS = np.array((1, -1j, -1, 1j))  # exp(-i pi j / 2), exactly
+
+
 @lru_cache(maxsize=1)
 def _half(side: int, params: FresnelParams) -> np.ndarray:
+    num, den = _alpha(side, params)
     h = side // 2 + 1
-    nu2 = np.fft.fftfreq(side, d=params.pitch)[:h] ** 2
-    q = np.empty((h, side), np.complex128)
-    np.exp(-1j * (np.pi * params.wavelength * params.distance * (nu2[:, None] + nu2)),
-           out=q[:, :h])
-    q[:, h:] = q[:, side - h:0:-1]
+    # s is bin k's phase pi * alpha * k**2, mod 2 pi, in units of pi / (4 den),
+    # plus den: s // (2 den) is its nearest quarter turn mod 4, and (s mod
+    # 2 den - den) / (4 den) the rest over pi, in [-1/4, 1/4), which int / int
+    # rounds once, correctly
+    period, a = 8 * den, 4 * num % (8 * den)
+    s = [(a * k * k + den) % period for k in range(h)]
+    u = _QUARTER_TURNS[[t // (2 * den) for t in s]] * np.exp(
+        -1j * np.pi * np.array([(t % (2 * den) - den) / (4 * den) for t in s]))
+    q = u[:, None] * np.concatenate((u, u[side - h:0:-1]))  # bin (k, l): u_k * u_l
     q.flags.writeable = False
     return q
 

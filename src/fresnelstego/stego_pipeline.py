@@ -89,7 +89,8 @@ def _forward(secret_grid: ImageGrid, key: StegoKey, side: int,
     (arnold's parity rule); arnold._layout gives the order within it."""
     flat, coded = padded(side // 2, side // 2, within)
     idctn(_filter(secret_grid, key.fresnel, True, coded), overwrite=True)
-    coded *= (1 + 1j) * key.strength
+    pairs = flat.view(np.complex128)  # coded's samples and the zero pads, in one pass
+    pairs *= (1 + 1j) * key.strength
     return flat[_layout(side, key.arnold_iterations)[1]]
 
 
@@ -103,8 +104,8 @@ def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
     flat, w = padded(side // 2, side // 2)
     flat[_layout(side, key.arnold_iterations)[1]] = diff_lattice
     del diff_lattice  # extract's temporary, freed before the transforms
-    parts = w.view(np.float64)  # the data's floats: no pad sample is read
-    parts /= np.sqrt(2.0) * key.strength  # before the DCT, as in the closed-form chain
+    # before the DCT, as in the closed-form chain; one pass over w and the zero pads
+    flat /= np.sqrt(2.0) * key.strength
     return _filter(dctn(w, overwrite=True), key.fresnel, False, w)
 
 

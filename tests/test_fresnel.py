@@ -9,9 +9,11 @@ from scipy.fft import fft2, ifft2
 from fresnelstego import (DataError, FresnelParams, ParameterError, ShapeError,
                           cc, default_key_path, load_key, magnitude, propagate,
                           propagate_inverse)
+from fresnelstego.fresnel import _alpha, _half
+from exact import exact_alpha, exact_factor
 from synth import textured_image
 
-REFERENCE = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
+REFERENCE = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)  # phases to 2e10 rad
 # short-range parameters keep transfer phases around 5e2 rad, small enough
 # that float64 leaves headroom for the 1e-10 composition tolerance
 DESK = FresnelParams(wavelength=632.8e-9, distance=0.05, pitch=10e-6)
@@ -100,21 +102,35 @@ def test_round_trip_at_reference_params():
         assert np.max(np.abs(back - f)) < 1e-10
 
 
+# the cached factor against exact_factor: the measured worst case is 6.5e-16,
+# three ulps of 1, at the sides and keys below; nine ulps leave room for
+# another libm. The float formula exp(-i * pi * wavelength * distance *
+# (nu_x**2 + nu_y**2)) misses it by up to 7.6e-6 at the metre-range key
+FACTOR_ATOL = 2e-15
+
+
 def test_inverse_matches_conjugate_factor():
     # pins the sign convention, forward exp(-i phase) and inverse exp(+i phase),
-    # and that the factor built from its quadrant equals the full-grid one bit for bit
-    metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)  # phases near 1e7 rad
+    # and the factor against the exact reference, at odd sides and at phases of
+    # 1e7 (metre_range) and 2e10 rad (REFERENCE)
+    metre_range = FresnelParams(wavelength=632.8e-9, distance=1.0, pitch=0.3e-6)
     for side, p in ((1, DESK), (2, DESK), (3, DESK), (4, DESK), (5, DESK), (7, DESK),
                     (9, DESK), (32, DESK), (48, DESK), (100, DESK), (127, DESK),
-                    (129, DESK), (256, DESK), (256, metre_range)):
-        nu = np.fft.fftfreq(side, d=p.pitch)
-        phase = np.pi * p.wavelength * p.distance * (nu[:, None] ** 2 + nu[None, :] ** 2)
-        # a real field takes the real-input FFT in propagate and in scipy's fft2 alike
+                    (129, DESK), (256, DESK), (9, metre_range), (100, metre_range),
+                    (256, metre_range), (32, REFERENCE), (127, REFERENCE)):
+        num, den = _alpha(side, p)  # the exact rational, in lowest terms
+        assert Fraction(num, den) == exact_alpha(side, p) and math.gcd(num, den) == 1
+        exact = exact_factor(side, p)
+        q = _half(side, p)
+        assert np.max(np.abs(np.concatenate((q, q[side - len(q):0:-1])) - exact)) <= FACTOR_ATOL
+        # a real field takes the real-input FFT in propagate and in scipy's fft2 alike;
+        # the factors' difference moves the unitary stage by at most FACTOR_ATOL * |f|,
+        # and the two transforms' round-off by a few ulps more
         for f in (random_field(side, 9), random_field(side, 9).real):
-            expected_fwd = ifft2(fft2(f, norm="ortho") * np.exp(-1j * phase), norm="ortho")
-            expected_inv = ifft2(fft2(f, norm="ortho") * np.exp(1j * phase), norm="ortho")
-            assert np.array_equal(propagate(f, p), expected_fwd), (side, p, f.dtype)
-            assert np.array_equal(propagate_inverse(f, p), expected_inv), (side, p, f.dtype)
+            bound = 4 * FACTOR_ATOL * np.linalg.norm(f)
+            for got, factor in ((propagate(f, p), exact), (propagate_inverse(f, p), exact.conj())):
+                expected = ifft2(fft2(f, norm="ortho") * factor, norm="ortho")
+                assert np.linalg.norm(got - expected) <= bound, (side, p, f.dtype)
 
 
 def test_factor_cache_keeps_half_a_filter():
@@ -153,33 +169,45 @@ def test_wavelength_distance_enter_as_product():
 
 
 # For a secret of side N (host 2N) the stage depends only on
-# alpha = wavelength * distance / (N * pitch)**2, which for the shipped key
-# is 2**10 * 5**6 * 791 / N**2, 791 = 7 * 113. It is an integer exactly when
-# N = 2**a * 5**b with a <= 5 and b <= 3, and N is even (a >= 1) as host sides
-# are multiples of 4; that gives the hosts up to 1000 below. An integer alpha
-# makes every bin's factor 1 (alpha even) or (-1)**(k + l) (alpha odd, a = 5),
-# a roll by N/2: a Talbot plane. Hosts 128 and 256 are fractional ones.
+# alpha = wavelength * distance / (N * pitch)**2, which for the shipped key's
+# decimal values is 2**10 * 5**6 * 791 / N**2, 791 = 7 * 113. It is an integer
+# exactly when N = 2**a * 5**b with a <= 5 and b <= 3, and N is even (a >= 1) as
+# host sides are multiples of 4; that gives the hosts up to 1000 below. An
+# integer alpha makes every bin's factor 1 (alpha even) or (-1)**(k + l) (alpha
+# odd, a = 5), a roll by N/2: a Talbot plane. Hosts 128 and 256 are fractional
+# ones. The floats the key file gives are not those decimals: their exact
+# alpha * N**2 falls 4.9e-7 short of the integer, so the loaded key's factor is
+# +-1 only to pi * |alpha - n| * N**2 / 2 = 7.7e-7; EXACT_SHIPPED has the same
+# alpha with binary parameters, where it is an integer.
 SHIPPED_ALPHA_N2 = 2 ** 10 * 5 ** 6 * 791
+EXACT_SHIPPED = FresnelParams(SHIPPED_ALPHA_N2 * 2.0 ** -40, 1.0, 2.0 ** -20)
 
 
 @pytest.mark.parametrize("host", [4, 8, 16, 20, 32, 40, 64, 80, 100, 160, 200, 320,
                                   400, 500, 800, 1000, 128, 256])
 def test_shipped_key_stage_at_talbot_planes(host):
     p = load_key(default_key_path()).fresnel
-    assert p.wavelength * p.distance / p.pitch ** 2 == pytest.approx(SHIPPED_ALPHA_N2,
-                                                                     rel=1e-12)
     side = host // 2
-    alpha = Fraction(SHIPPED_ALPHA_N2, side ** 2)
+    alpha = exact_alpha(side, p)
+    assert float(alpha * side ** 2 - SHIPPED_ALPHA_N2) == pytest.approx(-4.9e-7, rel=0.01)
+    assert exact_alpha(side, EXACT_SHIPPED) * side ** 2 == SHIPPED_ALPHA_N2
     x = np.random.default_rng(host).standard_normal((side, side))
-    got = propagate(x, p)
     half = np.roll(x, (side // 2, side // 2), (0, 1))
-    same, rolled = (np.max(np.abs(got - y)) for y in (x, half))
-    bound = np.max(np.abs(x))
-    if alpha.denominator == 1:
-        assert (same, rolled)[alpha.numerator % 2] <= 1e-4 * bound
+    n = round(alpha)
+    if SHIPPED_ALPHA_N2 % side ** 2 == 0:
+        target = (x, half)[n % 2]
+        # the exact alpha's factor is exactly +-1: FFT round-off alone is left
+        assert np.max(np.abs(propagate(x, EXACT_SHIPPED) - target)) <= 1e-12 * np.max(np.abs(x))
+        # the loaded key's factor is +-1 within pi * |alpha - n| * max(k**2 + l**2)
+        off = float(abs(alpha - n)) * np.pi * 2 * (side // 2) ** 2
+        error = np.linalg.norm(propagate(x, p) - target)
+        assert error <= (off + 1e-12) * np.linalg.norm(x)
     else:
         assert host in (128, 256)
-        assert min(same, rolled) > 0.1 * bound
+        bound = np.max(np.abs(x))
+        for q in (p, EXACT_SHIPPED):
+            got = propagate(x, q)
+            assert min(np.max(np.abs(got - y)) for y in (x, half)) > 0.1 * bound
 
 
 def test_wrong_distance_degrades_monotonically():

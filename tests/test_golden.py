@@ -5,9 +5,9 @@ a script, on the synth.py pairs at host sides 20 and 64 with three keys:
 the shipped key, a zero-distance key, and a desk key (632.8 nm, 5 cm,
 10 um pitch, 13 steps, the checkerboard lattice). Only the desk key's
 Fresnel stage mixes: the shipped key's is the identity at side 20 and a
-roll by half the secret's side at 64 (see test_fresnel). The desk cases
-were added later by loading the archive, adding their arrays and saving
-it, so the older arrays kept their bytes. Byte identity holds only on
+roll by half the secret's side at 64, within 1e-6 (see test_fresnel).
+The desk cases were added later by loading the archive, adding their
+arrays and saving it, so the older arrays kept their bytes. Byte identity holds only on
 one machine with one build of numpy and scipy: numpy picks its SIMD
 loops by CPU, so the package that wrote an array can miss its bytes in
 the last bits elsewhere. Across machines, builds and versions, the
@@ -19,7 +19,18 @@ promise is the tolerance contract the README states:
   - every MetricsReport field within REPORT_RTOL relative, an infinite
     PSNR exactly.
 
-Regenerate only when an output is meant to change, and say why:
+The shipped key's arrays were replaced once, when the Fresnel factor came
+to be built from the key's exact rational alpha instead of float phases
+of up to 2e10 rad (the fresnel module docstring); each moved beyond
+FLOAT_ATOL, by at most: 20/shipped/embedded 3.4e-6, 64/shipped/embedded
+2.3e-6 and 64/shipped/extract_u8 1.4e-5 gray levels; 20/shipped/report
+2.1e-11 and 64/shipped/report 5.7e-12 relative. Their deliveries and
+float extractions stayed within the contract and kept their bytes, as
+did every desk and zero-distance array.
+
+Regenerate only when an output is meant to change, and say why. The
+script replaces only the arrays that left the contract, and adds new
+ones, so the rest keep their bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -84,9 +95,27 @@ def test_outputs_match_golden_within_contract(golden, side, key_name):
     assert got["report"] == pytest.approx(want["report"], rel=REPORT_RTOL, abs=0.0)
 
 
+def _within_contract(output, got, want):
+    if output == "delivered":
+        return np.array_equal(got, want)
+    if output == "report":
+        return got == pytest.approx(want, rel=REPORT_RTOL, abs=0.0)
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= FLOAT_ATOL
+
+
 if __name__ == "__main__":
-    arrays = {_name(side, key_name, output): value
-              for side, key_name in CASES
-              for output, value in outputs(side, key_name).items()}
+    # replaces only the arrays that left the contract, or are new, so the
+    # others keep their bytes
+    with np.load(GOLDEN) as archive:
+        arrays = dict(archive)
+    for side, key_name in CASES:
+        for output, value in outputs(side, key_name).items():
+            name = _name(side, key_name, output)
+            if name in arrays and _within_contract(output, value, arrays[name]):
+                continue
+            move = (np.max(np.abs(value.astype(float) - arrays[name]))
+                    if name in arrays and value.shape == arrays[name].shape else None)
+            print(f"{name}: {'new' if move is None else f'replaced, largest move {move:.3g}'}")
+            arrays[name] = value
     np.savez_compressed(GOLDEN, **arrays)
     print(f"wrote {len(arrays)} arrays to {GOLDEN}")

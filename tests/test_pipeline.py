@@ -16,6 +16,7 @@ from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
 from fresnelstego import _fft, stego_pipeline
 from fresnelstego.arnold import _layout
 from fresnelstego.stego_pipeline import _extract, _field, _forward, _operator
+from exact import exact_alpha, exact_factor
 from synth import textured_image
 
 REFERENCE_PARAMS = FresnelParams(wavelength=632.8e-9, distance=2.0, pitch=10e-9)
@@ -266,16 +267,47 @@ def test_key_order_cannot_leak_an_earlier_key():
         assert abs(cc(extract(embedded, host, wrong), secret)) <= 0.5
     assert cc(extract(embedded, host, key), secret) >= 0.999
     # the same FresnelParams at another side: a round trip alone would pass with
-    # another side's factor, so the factor itself is checked against its formula
+    # another side's factor, so the stage is checked against the exact factor,
+    # within the bound of test_fresnel's test_inverse_matches_conjugate_factor
     small_host, small_secret = textured_image(64, 7), textured_image(32, 8, rolloff=6.0)
     small = embed(small_host, small_secret, key).embedded
     assert cc(extract(small, small_host, key), small_secret) >= 0.999
-    nu = np.fft.fftfreq(32, d=REFERENCE_PARAMS.pitch)
-    phase = (np.pi * REFERENCE_PARAMS.wavelength * REFERENCE_PARAMS.distance
-             * (nu[:, None] ** 2 + nu[None, :] ** 2))
-    expected = ifft2(fft2(small_secret, norm="ortho") * np.exp(-1j * phase), norm="ortho")
-    assert np.array_equal(propagate(small_secret, key.fresnel), expected)
+    expected = ifft2(fft2(small_secret, norm="ortho") * exact_factor(32, REFERENCE_PARAMS),
+                     norm="ortho")
+    error = np.linalg.norm(propagate(small_secret, key.fresnel) - expected)
+    assert error <= 8e-15 * np.linalg.norm(small_secret)
     assert cc(extract(embedded, host, key), secret) >= 0.999
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(side=st.integers(2, 16).map(lambda k: 4 * k),
+       steps=st.integers(0, 300),
+       distance=st.integers(1, 2 ** 20).map(lambda m: m * 2.0 ** -10),
+       turns=st.integers(1, 2 ** 16),
+       pitch_scale=st.integers(-4, 4),
+       wavelength_scale=st.integers(-4, 4))
+def test_keys_with_equal_alpha_mod_2_give_equal_bytes(side, steps, distance, turns,
+                                                      pitch_scale, wavelength_scale):
+    # the stage sees only alpha = wavelength * distance / (N * pitch)**2 on the
+    # secret's side N, and its factor only alpha mod 2. With power-of-two
+    # wavelength and pitch, adding 2 * turns to alpha adds turns * N**2 * 2**-18
+    # to the distance, and scaling the pitch by 2**b and the wavelength by 4**b
+    # keeps alpha, all exactly; so do wavelength * 2**c and distance / 2**c
+    n = side // 2
+    first = FresnelParams(2.0 ** -21, distance, 2.0 ** -20)
+    second = FresnelParams(2.0 ** (2 * pitch_scale + wavelength_scale - 21),
+                           (distance + turns * n * n * 2.0 ** -18) * 2.0 ** -wavelength_scale,
+                           2.0 ** (pitch_scale - 20))
+    assert exact_alpha(n, second) - exact_alpha(n, first) == 2 * turns
+    host, secret = textured_image(side, steps), textured_image(n, steps + 1, rolloff=6.0)
+    keys = [StegoKey(p, steps, 0.08) for p in (first, second)]
+    results = [embed(host, secret, key) for key in keys]
+    assert results[0].embedded.tobytes() == results[1].embedded.tobytes()
+    assert results[0].report == results[1].report
+    for delivered in (results[0].embedded, quantize_u8(results[0].embedded)):
+        for reader in ("modulus", "coherent"):
+            a, b = (extract(delivered, host, key, reader=reader) for key in keys)
+            assert a.tobytes() == b.tobytes(), reader
 
 
 def test_shape_contracts():
@@ -419,8 +451,9 @@ def test_embed_and_extract_equal_the_closed_form_chain_bit_for_bit(side):
 
 @pytest.mark.parametrize("side", (12, 100, 256))
 def test_pad_samples_are_never_read(side, monkeypatch):
-    # _forward and _field work in a grid whose rows carry ROW_PAD samples more;
-    # with the whole buffer NaN, pad included, every output keeps its bytes
+    # _forward and _field work in a grid whose rows carry ROW_PAD samples more,
+    # which padded zeroes and the scalings run over; with the whole buffer NaN,
+    # pad included, every output keeps its bytes
     host = textured_image(side, side)
     secret = textured_image(side // 2, side + 1, rolloff=6.0)
     keys = [StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, 0.08)
