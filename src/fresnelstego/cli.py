@@ -18,6 +18,14 @@ clips to one gray level, as from a host wholly above 255 or below 0, is
 written and then exits 2 on its undefined correlation; the library's
 embed, which scores the float grid, succeeds.
 
+Past their inputs, embed and extract allocate no whole image that is
+neither their output nor memory they already own: embed --mode u8
+quantizes the embedded image in place and writes it, and extract runs
+its transforms in the embedded image it read (stego_pipeline._extract's
+within) and quantizes its recovery in place for a .pgm. histogram and
+arnold quantize the grid they own in place too. The library's embed,
+extract, write_pgm, write_image and quantize_u8 never write their inputs.
+
 cli_main builds its argparse parser once per process and reuses it:
 parse_args writes only into a fresh Namespace, and each subcommand's
 handler is a default stored at build time.
@@ -35,8 +43,8 @@ import numpy as np
 
 from .arnold import ArnoldSpec, period, scramble, unscramble
 from .errors import ParameterError, ShapeError, StegoError
-from .formats import (load_key, quantize_u8, read_image, write_float_image,
-                      write_image, write_pgm)
+from .formats import (_quantize, _write_image, _write_pgm, load_key, read_image,
+                      write_float_image)
 from .metrics import MetricsReport, _bounded, _compare, compare
 from .stego_pipeline import READERS, _embed, _extract
 
@@ -130,7 +138,7 @@ def _cmd_embed(args) -> int:
     if args.mode == "u8":
         if not _bounded(host, embedded):  # raise before the write where embed would
             _compare(host, embedded)
-        report = _compare(host, write_pgm(embedded, args.out))
+        report = _compare(host, _write_pgm(embedded, args.out, embedded))
     else:
         report = _compare(host, embedded)
         write_float_image(embedded, args.out)
@@ -140,8 +148,9 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     embedded = read_image(args.embedded)
-    write_image(_extract(embedded, read_image(args.host), load_key(args.key), args.reader),
-                args.out)
+    recovered = _extract(embedded, read_image(args.host), load_key(args.key), args.reader,
+                         within=embedded)
+    _write_image(recovered, args.out, recovered)
     return EXIT_OK
 
 
@@ -167,12 +176,14 @@ def _cmd_permute(args) -> int:
     if rows != cols or rows < 2:  # a fault in the data (exit 2), checked before the spec
         raise ShapeError(f"image must be square with a side of at least 2, got {rows}x{cols}")
     spec = ArnoldSpec(size=rows, iterations=args.n)
-    write_image(args.op(img, spec), args.out)
+    permuted = args.op(img, spec)
+    _write_image(permuted, args.out, permuted)
     return EXIT_OK
 
 
 def _cmd_histogram(args) -> int:
-    img = quantize_u8(read_image(args.in_path))
+    img = read_image(args.in_path)
+    _quantize(img, img)
     counts = np.bincount(img.astype(np.int64).ravel(), minlength=256)
     for value, count in enumerate(counts):
         print(value, int(count))

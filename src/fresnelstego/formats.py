@@ -18,10 +18,17 @@ errors carry the byte offset of the violation.
 
 The writers stage no byte copy: each hands its grid's row-major buffer to
 the file, and quantize_u8 allocates its one result grid and rounds in place.
+The float reader stages none either: it reads the header, checks the
+payload's size against the file's (os.fstat, so the file must be a
+regular one), and reads the payload straight into the one grid it returns.
+The CLI, which owns the grids it writes, quantizes them in place through
+_write_pgm's out and _write_image's.
 """
 from __future__ import annotations
 
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +46,18 @@ _TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c]*)")
 KEY_NAMES = ("wavelength_nm", "pitch_nm", "distance_cm", "arnold_iterations", "strength")
 
 
+def _quantize(g: ImageGrid, out: ImageGrid | None = None) -> ImageGrid:
+    # quantize_u8's rounding of a checked grid, into out or one new grid
+    g = np.clip(g, 0.0, 255.0, out=out)
+    g += 0.5
+    return np.floor(g, out=g)
+
+
 def quantize_u8(img) -> ImageGrid:
     """Clamp to [0, 255], then round halves up. Clamping first means every
     remaining value is non-negative, so rounding half up equals rounding
     half away from zero. Returns integer values in one new float64 grid."""
-    g = np.clip(as_image(img), 0.0, 255.0)
-    g += 0.5
-    return np.floor(g, out=g)
+    return _quantize(as_image(img))
 
 
 def _positive(name: str, token: bytes, offset: int) -> int:
@@ -58,14 +70,11 @@ def _positive(name: str, token: bytes, offset: int) -> int:
     return value
 
 
-def _payload(data: bytes, at: int, rows: int, cols: int, dtype) -> np.ndarray:
-    """The rows x cols grid of dtype samples that fills data from at to its end."""
-    need = rows * cols * np.dtype(dtype).itemsize
-    have = len(data) - at
+def _payload_size(have: int, need: int, at: int) -> None:
+    # a payload that starts at byte at must hold need bytes; it holds have
     if have != need:
         raise FormatError(
             f"payload is {have} bytes, expected {need}", offset=at + min(have, need))
-    return np.frombuffer(data, dtype=dtype, count=rows * cols, offset=at).reshape(rows, cols)
 
 
 def _decode_pgm(data: bytes) -> ImageGrid:
@@ -85,7 +94,9 @@ def _decode_pgm(data: bytes) -> ImageGrid:
         raise FormatError(f"maxval must be 255, got {maxval}", offset=start)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise FormatError("expected one whitespace byte after maxval", offset=pos)
-    return _payload(data, pos + 1, height, width, np.uint8).astype(np.float64)
+    _payload_size(len(data) - pos - 1, width * height, pos + 1)
+    return np.frombuffer(data, np.uint8, width * height, pos + 1).reshape(
+        height, width).astype(np.float64)
 
 
 def read_pgm(path) -> ImageGrid:
@@ -93,9 +104,10 @@ def read_pgm(path) -> ImageGrid:
     return _decode_pgm(Path(path).read_bytes())
 
 
-def write_pgm(img, path) -> ImageGrid:
-    """Write as binary PGM through quantize_u8; return the grid written."""
-    g = quantize_u8(img)
+def _write_pgm(img, path, out: ImageGrid | None = None) -> ImageGrid:
+    # write_pgm, quantizing into out, a float64 grid of img's shape that the
+    # caller owns (img itself included), or into one new grid
+    g = _quantize(as_image(img), out)
     height, width = g.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))
@@ -103,24 +115,43 @@ def write_pgm(img, path) -> ImageGrid:
     return g
 
 
-def _decode_float_image(data: bytes) -> ImageGrid:
+def write_pgm(img, path) -> ImageGrid:
+    """Write as binary PGM through quantize_u8; return the grid written.
+    img is left unchanged."""
+    return _write_pgm(img, path)
+
+
+def _read_float_image(fh, magic: bytes) -> ImageGrid:
+    # the float container from fh, a binary file whose first bytes, magic,
+    # were read already
     prefix = FLOAT_MAGIC + b"\n"
-    if not data.startswith(prefix):
+    if magic + fh.read(len(prefix) - len(magic)) != prefix:
         raise FormatError("not a float image, magic FIMG missing", offset=0)
     pos = len(prefix)
-    newline = data.find(b"\n", pos)
-    if newline < 0:
-        raise FormatError("missing dimensions line", offset=len(data))
-    parts = data[pos:newline].split()
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise FormatError("missing dimensions line", offset=pos + len(line))
+    parts = line.split()
     if len(parts) != 2:
         raise FormatError("dimensions line must hold exactly two integers", offset=pos)
     rows, cols = (_positive(name, part, pos) for name, part in zip(("rows", "cols"), parts))
-    return as_image(_payload(data, newline + 1, rows, cols, "<f8").copy())
+    at = pos + len(line)
+    need = rows * cols * 8
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):  # a pipe's size is unknown before it is read
+        raise FormatError("a float image must be read from a regular file", offset=at)
+    _payload_size(st.st_size - at, need, at)
+    grid = np.empty((rows, cols), "<f8")
+    # a file that shrank since fstat leaves samples unread
+    _payload_size(fh.readinto(grid), need, at)
+    return as_image(grid)
 
 
 def read_float_image(path) -> ImageGrid:
-    """Read the float64 container written by write_float_image."""
-    return _decode_float_image(Path(path).read_bytes())
+    """Read the float64 container written by write_float_image into one new
+    grid, holding no copy of the file; path must name a regular file."""
+    with open(path, "rb") as fh:
+        return _read_float_image(fh, b"")
 
 
 def write_float_image(img, path) -> None:
@@ -134,21 +165,28 @@ def write_float_image(img, path) -> None:
 
 def read_image(path) -> ImageGrid:
     """Read either container, dispatching on the magic bytes."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        magic = fh.read(len(FLOAT_MAGIC))
+        if magic == FLOAT_MAGIC:
+            return _read_float_image(fh, magic)
+        data = magic + fh.read()
     if data.startswith(b"P5"):
         return _decode_pgm(data)
-    if data.startswith(FLOAT_MAGIC):
-        return _decode_float_image(data)
-    raise FormatError(f"unrecognized magic {data[:4]!r}", offset=0)
+    raise FormatError(f"unrecognized magic {magic!r}", offset=0)
+
+
+def _write_image(img, path, out: ImageGrid | None = None) -> None:
+    # write_image, a .pgm quantized as by _write_pgm into out
+    if str(path).lower().endswith(".pgm"):
+        _write_pgm(img, path, out)
+    else:
+        write_float_image(img, path)
 
 
 def write_image(img, path) -> None:
     """Write by extension: .pgm quantizes to PGM, anything else writes the
-    float container."""
-    if str(path).lower().endswith(".pgm"):
-        write_pgm(img, path)
-    else:
-        write_float_image(img, path)
+    float container. img is left unchanged."""
+    _write_image(img, path)
 
 
 def parse_key_text(text: str) -> StegoKey:

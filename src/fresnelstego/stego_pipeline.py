@@ -94,14 +94,16 @@ def _forward(secret_grid: ImageGrid, key: StegoKey, side: int,
     return flat[_layout(side, key.arnold_iterations)[1]]
 
 
-def _field(diff_lattice: np.ndarray, key: StegoKey, side: int) -> np.ndarray:
+def _field(diff_lattice: np.ndarray, key: StegoKey, side: int,
+           within: np.ndarray | None = None) -> np.ndarray:
     """propagate(dctn(w / (sqrt(2) * s))), w being a difference y in a side x
     side host's lattice shape scattered back into D[0::2]'s order as complex
     pairs. It undoes _forward's transforms in reverse, so _field(A x) =
     (1 + i) / sqrt(2) * x, and its modulus is the paper's average over the
     two band pairs: |propagate_inverse(conj Y)| = |propagate(Y)|. The result
-    is the padded work grid itself, so its rows are not contiguous."""
-    flat, w = padded(side // 2, side // 2)
+    is the padded work grid itself, so its rows are not contiguous; it lies
+    in the start of within, as in _forward, if that is long enough."""
+    flat, w = padded(side // 2, side // 2, within)
     flat[_layout(side, key.arnold_iterations)[1]] = diff_lattice
     del diff_lattice  # extract's temporary, freed before the transforms
     # before the DCT, as in the closed-form chain; one pass over w and the zero pads
@@ -176,10 +178,11 @@ def embed(host, secret, key: StegoKey) -> EmbedResult:
 
 @_quiet
 def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey,
-             reader: str = "modulus") -> ImageGrid:
+             reader: str = "modulus", within: np.ndarray | None = None) -> ImageGrid:
     """extract's core for checked grids: the shape, strength and reader rules,
     then the recovery, which may hold inf or nan where the arithmetic
-    overflowed."""
+    overflowed. _field runs in within, which may be embedded_grid itself:
+    the lattice difference is taken before within is written."""
     checked_square(embedded_grid, "embedded image", 4)
     side = checked_square(host_grid, "host", 4).shape[0]
     if embedded_grid.shape != host_grid.shape:
@@ -191,7 +194,7 @@ def _extract(embedded_grid: ImageGrid, host_grid: ImageGrid, key: StegoKey,
         raise ParameterError(f"reader must be one of {', '.join(READERS)}, got {reader!r}")
 
     lattice = _layout(side, key.arnold_iterations)[0]
-    field = _field(lattice(embedded_grid) - lattice(host_grid), key, side)
+    field = _field(lattice(embedded_grid) - lattice(host_grid), key, side, within)
     return np.abs(field) if reader == "modulus" else _coherent(field)
 
 

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -134,6 +135,11 @@ def test_extract_reader_flag_gives_the_librarys_bytes(workspace, capsys, mode, r
     expected = extract(read_image(embedded), read_pgm(workspace / "host.pgm"),
                        load_key(workspace / "desk.key"), reader=reader)
     assert read_image(workspace / "r.fimg").tobytes() == expected.tobytes()
+    # the command quantizes its recovery in place to write a PGM
+    argv[argv.index("--out") + 1] = workspace / "r.pgm"
+    assert run(*argv) == 0
+    write_pgm(expected, workspace / "expected.pgm")
+    assert (workspace / "r.pgm").read_bytes() == (workspace / "expected.pgm").read_bytes()
 
 
 def test_arnold_scramble_unscramble_files(workspace):
@@ -382,6 +388,54 @@ def test_commands_scan_each_grid_once(workspace, monkeypatch):
     assert run("extract", "--embedded", workspace / "e.out", "--host", workspace / "h64.pgm",
                "--key", workspace / "default.key", "--out", workspace / "r.fimg") == 0
     assert sorted(scanned) == [(32, 32), (64, 64)]
+
+
+def _traced_peak(*argv):
+    """Bytes a warm in-process command allocates at its peak beyond what it
+    started with; numpy reports its array buffers to tracemalloc."""
+    assert run(*argv) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+_HOST_256 = 256 * 256 * 8  # bytes of one float64 host grid
+
+
+def test_u8_embed_peaks_no_higher_than_float_embed(workspace, capsys):
+    # the u8 command quantizes the embedded image in place, so it needs no
+    # grid the float command does not; 4 KiB covers interpreter objects,
+    # where a quantized copy would add a whole host grid
+    write_pgm(textured_image(256, 7), workspace / "h.pgm")
+    write_pgm(textured_image(128, 8, rolloff=6.0), workspace / "s.pgm")
+    peaks = {mode: _traced_peak("embed", "--host", workspace / "h.pgm", "--secret",
+                                workspace / "s.pgm", "--key", workspace / "default.key",
+                                "--out", workspace / f"e.{mode}", "--mode", mode)
+             for mode in ("float", "u8")}
+    assert peaks["u8"] <= peaks["float"] + 4096, peaks
+
+
+@pytest.mark.parametrize("reader", ("modulus", "coherent"))
+def test_extract_peak_memory(workspace, capsys, reader):
+    # Held at once, in host grids: the embedded image (1), whose memory
+    # then carries the transforms, and the host (1), with either the
+    # lattice difference (1/2) and numpy's two 64 KiB iteration buffers
+    # that form it (1/4 at a 256 host), or later the result (1/4) and, for
+    # coherent, the complex product it is taken from (1/2). So 2.75 grids,
+    # and 64 KiB of slack for interpreter objects; a work grid of its own
+    # would add 1/2.
+    write_pgm(textured_image(256, 7), workspace / "h.pgm")
+    write_pgm(textured_image(128, 8, rolloff=6.0), workspace / "s.pgm")
+    assert run("embed", "--host", workspace / "h.pgm", "--secret", workspace / "s.pgm",
+               "--key", workspace / "default.key", "--out", workspace / "e.fimg") == 0
+    peak = _traced_peak("extract", "--embedded", workspace / "e.fimg", "--host",
+                        workspace / "h.pgm", "--key", workspace / "default.key",
+                        "--out", workspace / "r.fimg", "--reader", reader)
+    assert peak <= 2.75 * _HOST_256 + 64 * 1024, peak / _HOST_256
 
 
 def test_readers_return_checked_grids(workspace):

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,12 +166,12 @@ def _reference_decode_pgm(data: bytes):
     return grid.astype(np.float64)
 
 
-def _pgm_outcome(decode):
-    """The grid's shape and bytes, or the FormatError's message and offset."""
+def _outcome(decode):
+    """The grid's shape and bytes, or the error's type, message and offset."""
     try:
         grid = decode()
-    except FormatError as exc:
-        return str(exc), exc.offset
+    except (FormatError, DataError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
     return grid.shape, grid.tobytes()
 
 
@@ -224,9 +226,121 @@ def pgm_path(tmp_path_factory):
 @example(data=b"P5 1 1 # runs to the end")
 def test_pgm_header_grammar_matches_a_byte_by_byte_scan(pgm_path, data):
     pgm_path.write_bytes(data)
-    assert _pgm_outcome(lambda: read_pgm(pgm_path)) == _pgm_outcome(
+    assert _outcome(lambda: read_pgm(pgm_path)) == _outcome(
         lambda: _reference_decode_pgm(data))
 
+
+def _reference_decode_float_image(data: bytes):
+    """The float container decoded from the file's bytes, all in memory."""
+    prefix = b"FIMG\n"
+    if not data.startswith(prefix):
+        raise FormatError("not a float image, magic FIMG missing", offset=0)
+    pos = len(prefix)
+    newline = data.find(b"\n", pos)
+    if newline < 0:
+        raise FormatError("missing dimensions line", offset=len(data))
+    parts = data[pos:newline].split()
+    if len(parts) != 2:
+        raise FormatError("dimensions line must hold exactly two integers", offset=pos)
+    dims = []
+    for name, part in zip(("rows", "cols"), parts):
+        if not part.isdigit():
+            raise FormatError(f"{name} is not an integer: {part!r}", offset=pos)
+        if int(part) <= 0:
+            raise FormatError(f"{name} must be positive, got {int(part)}", offset=pos)
+        dims.append(int(part))
+    rows, cols = dims
+    at, need = newline + 1, rows * cols * 8
+    have = len(data) - at
+    if have != need:
+        raise FormatError(f"payload is {have} bytes, expected {need}",
+                          offset=at + min(have, need))
+    return as_image(np.frombuffer(data, "<f8", offset=at).reshape(rows, cols).copy())
+
+
+_LINE_SPACE = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\x0b", b"\x0c"]),
+                       max_size=2).map(b"".join)
+_FLOAT_FAULTS = ("magic", "token", "count", "no newline", "payload", "cut")
+_digit_runs = st.text("0123456789", min_size=1, max_size=6).map(str.encode)
+
+
+@st.composite
+def _float_files(draw):
+    """A float container of 1 to 3 by 1 to 3 samples, any doubles among
+    them, its dimensions set apart by whitespace other than newlines, and
+    up to two faults: a wrong magic, a dimension replaced by another token,
+    0, 1 or 3 digit runs for dimensions, no newline after them, a payload
+    of another length, or the data cut short."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    faults = draw(st.sets(st.sampled_from(_FLOAT_FAULTS), max_size=2))
+    magic = b"FIMG\n"
+    if "magic" in faults:
+        magic = draw(st.sampled_from([b"FIMG", b"FIMG ", b"FIMG\r", b"FIM\n", b"fimg\n"]))
+    tokens = [b"%d" % rows, b"%d" % cols]
+    if "token" in faults:
+        tokens[draw(st.integers(0, 1))] = draw(st.one_of(_digit_runs, st.sampled_from(
+            [b"0", b"-1", b"+1", b"1_0", b"2.0", b"x", b"\xff", b"\x00"])))
+    if "count" in faults:
+        tokens = draw(st.lists(_digit_runs, max_size=3).filter(lambda t: len(t) != 2))
+    line = draw(_LINE_SPACE) + b"".join(
+        token + draw(_LINE_SPACE.filter(bool) if i < len(tokens) - 1 else _LINE_SPACE)
+        for i, token in enumerate(tokens))
+    need = rows * cols * 8
+    size = draw(st.integers(0, need + 16)) if "payload" in faults else need
+    samples = draw(st.lists(st.floats(width=64), min_size=-(-size // 8), max_size=-(-size // 8)))
+    payload = np.array(samples, "<f8").tobytes()[:size]
+    data = magic + line + (b"" if "no newline" in faults else b"\n") + payload
+    return data[:draw(st.integers(0, len(data)))] if "cut" in faults else data
+
+
+@pytest.fixture(scope="module")
+def fimg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("container") / "f.fimg"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=_float_files())
+@example(data=b"FIMG")
+@example(data=b"FIMG\n")
+@example(data=b"FIMG\n1 1")
+@example(data=b"FIMG\n1 1\n" + bytes(7))
+@example(data=b"FIMG\n1 1\n" + bytes(9))
+@example(data=b"FIMG\n\t1\x0c2 \r\n" + bytes(16))
+@example(data=b"FIMG\n99999999 99999999\n" + bytes(8))
+@example(data=b"FIMG\n1 1\n" + np.array([np.inf]).tobytes())
+def test_float_reader_matches_a_bytes_level_decoder(fimg_path, data):
+    # the reader takes the payload's size from the file system and reads the
+    # payload straight into its grid; the outcome is the in-memory decode's
+    fimg_path.write_bytes(data)
+    expected = _outcome(lambda: _reference_decode_float_image(data))
+    assert _outcome(lambda: read_float_image(fimg_path)) == expected
+    if data.startswith(b"FIMG"):
+        assert _outcome(lambda: read_image(fimg_path)) == expected
+
+
+
+def _through_pipe(tmp_path, data: bytes, read):
+    """read of a named pipe that another thread writes data into."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read(pipe)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_float_reader_rejects_a_pipe_and_pgm_reads_from_one(tmp_path):
+    # the float reader takes the payload's size from the file system, which
+    # knows none for a pipe; PGM reading still takes the whole stream
+    with pytest.raises(FormatError, match="regular file") as info:
+        _through_pipe(tmp_path, b"FIMG\n1 1\n" + bytes(8), read_image)
+    assert info.value.offset == 9
+    (tmp_path / "pipe").unlink()
+    grid = _through_pipe(tmp_path, b"P5 2 1 255\n\x07\xff", read_image)
+    assert grid.tolist() == [[7.0, 255.0]]
 
 def test_pgm_write_quantizes(tmp_path):
     path = tmp_path / "q.pgm"
@@ -354,13 +468,13 @@ def test_every_layout_writes_as_its_row_major_copy(tmp_path, layout):
         assert written == (tmp_path / ("copy" + suffix)).read_bytes(), (writer.__name__, suffix)
 
 
-_CODECS = [quantize_u8, write_pgm, write_float_image]
+_CODECS = [quantize_u8, write_pgm, write_float_image, write_image]
 
 
 def _call(codec, g, tmp_path):
     if codec is quantize_u8:
         return codec(g)
-    return codec(g, tmp_path / "out.bin")
+    return codec(g, tmp_path / "out.pgm")  # write_image quantizes it too
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda f: f.__name__)
@@ -378,14 +492,15 @@ _GRID_F8 = _SIDE * _SIDE * 8
 _GRID_U8 = _SIDE * _SIDE  # also the size of as_image's bool finite scan
 _SLACK = 64 * 1024  # the file object and bookkeeping
 _PEAK_LIMIT = {write_float_image: _GRID_U8 + _SLACK, quantize_u8: _GRID_F8 + _SLACK,
-               write_pgm: _GRID_F8 + _GRID_U8 + _SLACK}
+               write_pgm: _GRID_F8 + _GRID_U8 + _SLACK,
+               write_image: _GRID_F8 + _GRID_U8 + _SLACK}
 
 
 @pytest.mark.parametrize("codec", _CODECS, ids=lambda f: f.__name__)
 def test_codec_peak_memory(tmp_path, codec):
     """No codec stages a byte copy: the peak is the grids it must make.
     write_float_image makes none; its peak is as_image's one-byte-per-
-    sample finite scan, which the other two free before they allocate."""
+    sample finite scan, which the others free before they allocate."""
     g = _gray_levels((_SIDE, _SIDE))
     tracemalloc.start()
     try:
@@ -394,6 +509,21 @@ def test_codec_peak_memory(tmp_path, codec):
     finally:
         tracemalloc.stop()
     assert peak < _PEAK_LIMIT[codec], f"{codec.__name__} peaked at {peak} bytes"
+
+
+def test_float_read_peak_memory(tmp_path):
+    """The float reader holds no copy of the file: its peak is the grid it
+    returns, as_image's one-byte-per-sample finite scan, and the header."""
+    write_float_image(_gray_levels((_SIDE, _SIDE)), tmp_path / "g.fimg")
+    for reader in (read_float_image, read_image):
+        reader(tmp_path / "g.fimg")
+        tracemalloc.start()
+        try:
+            reader(tmp_path / "g.fimg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _GRID_F8 + _GRID_U8 + _SLACK, f"{reader.__name__} peaked at {peak} bytes"
 
 
 def test_key_parsing():

@@ -15,7 +15,7 @@ from fresnelstego import (ArnoldSpec, DataError, FresnelParams, ParameterError,
                           scramble, unscramble)
 from fresnelstego import _fft, stego_pipeline
 from fresnelstego.arnold import _layout
-from fresnelstego.stego_pipeline import _extract, _field, _forward, _operator
+from fresnelstego.stego_pipeline import READERS, _extract, _field, _forward, _operator
 from exact import exact_alpha, exact_factor
 from synth import textured_image
 
@@ -494,6 +494,29 @@ def test_pad_samples_are_never_read(side, monkeypatch):
     for grid in (propagate(img, DESK_KEY.fresnel), *fresnelet_analyze(img, DESK_KEY.fresnel),
                  dct2(img)):
         assert grid.flags.c_contiguous
+
+
+@pytest.mark.parametrize("side", (12, 100, 256))
+def test_extract_work_memory_is_never_read(side):
+    # the CLI's extract hands _extract the embedded image it read as within,
+    # where _field's padded grid then lies: a NaN-filled within must leave
+    # every output's bytes as the library's, and so must the embedded image
+    # itself, which the lattice difference has been taken from by then
+    host = textured_image(side, side)
+    secret = textured_image(side // 2, side + 1, rolloff=6.0)
+    size = side // 2 * (side + _fft.ROW_PAD)
+    for steps in (12, 13, 14):  # each lattice
+        for distance in (0.05, 0.0):
+            key = StegoKey(FresnelParams(632.8e-9, distance, 10e-6), steps, 0.08)
+            embedded = embed(host, secret, key).embedded
+            for delivered in (embedded, quantize_u8(embedded)):
+                for reader in READERS:
+                    expected = extract(delivered, host, key, reader=reader).tobytes()
+                    poisoned = np.full((side, side), np.nan)
+                    assert _extract(delivered, host, key, reader, poisoned).tobytes() == expected
+                    assert np.all(np.isfinite(poisoned.ravel()[:size]))  # the grid was there
+                    own = delivered.copy()
+                    assert _extract(own, host, key, reader, own).tobytes() == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
